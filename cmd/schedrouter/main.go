@@ -15,7 +15,9 @@
 // Replica names (the part before "=") are the ring identity; keep them
 // stable across restarts and deploys so the keyspace does not
 // reshuffle when a replica changes address.  Clients and the load
-// harness point at the router exactly as they would at one schedd.
+// harness point at the router exactly as they would at one schedd: it
+// is a service.Backend behind the same HTTP front end, so deadlines,
+// the batch stream and SIGTERM drain behave alike.
 package main
 
 import (
@@ -95,6 +97,9 @@ func main() {
 		log.Fatalf("schedrouter: %v", err)
 	case <-ctx.Done():
 	}
+	// Flip readiness first so load balancers stop routing here and new
+	// compile work is refused, then let in-flight requests finish.
+	rt.BeginDrain()
 	log.Printf("schedrouter: draining (up to %v)", *grace)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()

@@ -7,10 +7,11 @@
 //     loop graph's content fingerprint to the replica that owns it, so
 //     identical loops always land on the shard whose cache has them, and
 //     membership changes move only ~1/N of the keyspace.
-//   - Router: the front door (cmd/schedrouter).  It decodes just enough
-//     of each compile request to extract the routing fingerprint, orders
-//     the live, capability-compatible replicas by ring preference, and
-//     delegates the exchange to internal/client — whose per-attempt
+//   - Router: the front door (cmd/schedrouter), a service.Backend behind
+//     the same HTTP front end schedd uses.  It extracts each compile
+//     request's routing fingerprint, orders the live,
+//     capability-compatible replicas by ring preference, and delegates
+//     the exchange to internal/client — whose per-attempt
 //     endpoint rotation turns replica loss into rehashing onto the next
 //     preferred shard rather than failure.  Stats and capabilities
 //     aggregate across the fleet in the ordinary wire shapes, so

@@ -5,13 +5,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/engine"
+	"repro/internal/service"
 	"repro/internal/wire"
 )
 
@@ -57,15 +57,19 @@ type RouterConfig struct {
 }
 
 // replicaState is one backend's live view: reachability from the last
-// probe and its advertised capabilities.
+// probe and its advertised capabilities, plus a single-attempt client
+// for the per-replica stats and capability reads.
 type replicaState struct {
 	name, url string
+	cl        *client.Client
 	alive     atomic.Bool
 	caps      atomic.Pointer[wire.CapabilitiesResponse]
 }
 
 // Router consistent-hashes compile traffic across schedd replicas and
-// aggregates their stats and capabilities into one logical daemon.
+// aggregates their stats and capabilities into one logical daemon.  It
+// is a service.Backend: the HTTP surface — decoding, deadlines, drain,
+// the batch stream — is the same front end schedd serves through.
 // Safe for concurrent use; Probe may run concurrently with serving.
 //
 // Aggregated /v1/stats sums counters and merges latency histograms
@@ -73,9 +77,10 @@ type replicaState struct {
 // (ask a replica directly) because summing breaker states across
 // processes has no meaning.
 type Router struct {
-	cfg  RouterConfig
-	ring *Ring
-	http *http.Client
+	cfg   RouterConfig
+	ring  *Ring
+	http  *http.Client
+	front *service.Front
 
 	states []*replicaState
 	byName map[string]*replicaState
@@ -116,6 +121,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	for _, rep := range cfg.Replicas {
 		st := &replicaState{name: rep.Name, url: strings.TrimRight(rep.URL, "/")}
+		if st.cl, err = client.New(client.Config{Endpoints: []string{st.url}, HTTP: rt.http, Attempts: 1}); err != nil {
+			return nil, err
+		}
 		// Until the first probe lands, assume reachable: a router booted
 		// alongside its fleet should route, not 429, during the first
 		// probe interval.
@@ -123,6 +131,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.states = append(rt.states, st)
 		rt.byName[rep.Name] = st
 	}
+	rt.front = service.NewFront(rt, cfg.MaxBodyBytes)
 	return rt, nil
 }
 
@@ -144,7 +153,7 @@ func (rt *Router) Probe(ctx context.Context) int {
 			st.alive.Store(alive)
 			if alive {
 				ready.Add(1)
-				if caps, err := rt.fetchCapabilities(pctx, st.url); err == nil {
+				if caps, err := st.cl.Capabilities(pctx); err == nil {
 					st.caps.Store(caps)
 				}
 			}
@@ -168,26 +177,6 @@ func (rt *Router) probeReady(ctx context.Context, base string) bool {
 	return resp.StatusCode/100 == 2
 }
 
-func (rt *Router) fetchCapabilities(ctx context.Context, base string) (*wire.CapabilitiesResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/capabilities", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("capabilities: HTTP %d", resp.StatusCode)
-	}
-	var caps wire.CapabilitiesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&caps); err != nil {
-		return nil, err
-	}
-	return &caps, nil
-}
-
 // RoutingKey extracts the string the ring hashes for a request: the
 // loop graph's content fingerprint when the loop rides inline, or a
 // "ref:" pseudo-fingerprint for by-reference loops.  The two forms of
@@ -209,12 +198,12 @@ func supports(caps *wire.CapabilitiesResponse, opts *wire.Options) bool {
 	if caps == nil || opts == nil {
 		return true
 	}
-	if s := engine.CanonicalScheduler(opts.Scheduler); opts.Scheduler != "" && !contains(caps.Schedulers, s) {
+	if s := engine.CanonicalScheduler(opts.Scheduler); opts.Scheduler != "" && !slices.Contains(caps.Schedulers, s) {
 		return false
 	}
 	if opts.Strategy != "" {
 		s := engine.CanonicalStrategy(opts.Strategy)
-		if !contains(caps.Strategies, s) && !familyMatch(caps.StrategyFamilies, s) {
+		if !slices.Contains(caps.Strategies, s) && !familyMatch(caps.StrategyFamilies, s) {
 			return false
 		}
 	}
@@ -229,16 +218,7 @@ func quarantined(caps *wire.CapabilitiesResponse, opts *wire.Options) bool {
 	if caps == nil || opts == nil {
 		return false
 	}
-	return contains(caps.Quarantined, engine.CanonicalScheduler(opts.Scheduler))
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(caps.Quarantined, engine.CanonicalScheduler(opts.Scheduler))
 }
 
 func familyMatch(fams []wire.StrategyFamily, s string) bool {
@@ -301,108 +281,61 @@ func (rt *Router) clientFor(urls []string) (*client.Client, error) {
 // or incapable) — the degraded-to-rehashing events.
 func (rt *Router) Rehashes() int64 { return rt.rehashes.Load() }
 
-// Handler returns the router's HTTP surface: the same paths schedd
-// serves, so clients and the load harness point at a router or a
-// daemon interchangeably.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/compile", rt.handleCompile)
-	mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	mux.HandleFunc("GET /v1/capabilities", rt.handleCapabilities)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		for _, st := range rt.states {
-			if st.alive.Load() {
-				w.WriteHeader(http.StatusOK)
-				io.WriteString(w, "ready\n")
-				return
-			}
+// Handler returns the router's HTTP surface: the shared service front
+// end, so clients and the load harness point at a router or a daemon
+// interchangeably.
+func (rt *Router) Handler() http.Handler { return rt.front.Mux() }
+
+// BeginDrain flips the router's front end into drain mode: /readyz
+// answers 503 and new compile work is refused with the draining error
+// while in-flight requests finish.  cmd/schedrouter calls it on
+// SIGTERM, before http.Server.Shutdown.
+func (rt *Router) BeginDrain() { rt.front.BeginDrain() }
+
+// Ready implements service.Backend: the router can take work while any
+// replica answered its last readiness probe.
+func (rt *Router) Ready() bool {
+	for _, st := range rt.states {
+		if st.alive.Load() {
+			return true
 		}
-		writeError(w, wire.Errorf(wire.CodeDraining, "no replica is ready"))
-	})
-	return mux
+	}
+	return false
 }
 
-// decodeBody strict-decodes a bounded request body.
-func (rt *Router) decodeBody(w http.ResponseWriter, r *http.Request, v any) *wire.Error {
-	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	if err := wire.DecodeStrict(body, v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return wire.Errorf(wire.CodeBodyTooLarge, "request body over the %d byte limit", tooBig.Limit)
-		}
-		return wire.Errorf(wire.CodeBadRequest, "malformed request: %v", err)
-	}
-	return nil
+// noReplica is the answer when no live, capable replica is left.
+func noReplica() *wire.Error {
+	return &wire.Error{Code: wire.CodeOverCapacity,
+		Message: "no live replica can serve this request", RetryAfterMS: 1000}
 }
 
-func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req wire.CompileRequest
-	if werr := rt.decodeBody(w, r, &req); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	if werr := wire.CheckVersion(req.V); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	res, werr := rt.compileOne(r.Context(), &req)
-	if werr != nil {
-		writeError(w, werr)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.CompileResponse{V: wire.Version, Result: res})
-}
-
-// compileOne routes one compile down its failover chain.
-func (rt *Router) compileOne(ctx context.Context, req *wire.CompileRequest) (*wire.Result, *wire.Error) {
+// Compile implements service.Backend: one compile down its failover
+// chain, under the front end's deadline for the request.
+func (rt *Router) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.Result, error) {
 	urls, rehashed := rt.order(RoutingKey(req), req.Options)
 	if rehashed {
 		rt.rehashes.Add(1)
 	}
 	if len(urls) == 0 {
-		return nil, &wire.Error{Code: wire.CodeOverCapacity,
-			Message: "no live replica can serve this request", RetryAfterMS: 1000}
+		return nil, noReplica()
 	}
 	cl, err := rt.clientFor(urls)
 	if err != nil {
-		return nil, wire.Errorf(wire.CodeInternal, "%v", err)
+		return nil, err
 	}
-	res, err := cl.Compile(ctx, req)
-	if err != nil {
-		return nil, asWireError(err)
-	}
-	return res, nil
+	return cl.Compile(ctx, req)
 }
 
-// handleBatch shards a batch across owners: requests group by their
-// preferred replica, each group rides one /v1/batch exchange through
-// the group's failover chain, and items stream back as each group
+// Batch implements service.Backend by sharding across owners: requests
+// group by their failover chain, each group rides one /v1/batch
+// exchange through that chain — so a replica sees the same traffic it
+// would see from a direct client — and items go out as each group
 // settles, re-anchored to the caller's indices.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req wire.BatchRequest
-	if werr := rt.decodeBody(w, r, &req); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	if werr := wire.CheckVersion(req.V); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, wire.Errorf(wire.CodeBadRequest, "empty batch"))
-		return
-	}
-
-	// Group caller indices by the head of each request's failover chain.
+func (rt *Router) Batch(ctx context.Context, reqs []wire.CompileRequest, emit func(wire.BatchItem)) {
 	groups := map[string][]int{}
 	chains := map[string][]string{}
-	for i := range req.Requests {
-		urls, rehashed := rt.order(RoutingKey(&req.Requests[i]), req.Requests[i].Options)
+	for i := range reqs {
+		urls, rehashed := rt.order(RoutingKey(&reqs[i]), reqs[i].Options)
 		if rehashed {
 			rt.rehashes.Add(1)
 		}
@@ -410,100 +343,58 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[gk] = append(groups[gk], i)
 		chains[gk] = urls
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	writeItem := func(item wire.BatchItem) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		enc := json.NewEncoder(w)
-		enc.SetEscapeHTML(false)
-		enc.Encode(item)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
 	var wg sync.WaitGroup
 	for gk, idxs := range groups {
 		urls := chains[gk]
 		if len(urls) == 0 {
 			for _, i := range idxs {
-				writeItem(wire.BatchItem{V: wire.Version, Index: i, Error: &wire.Error{
-					Code: wire.CodeOverCapacity, Message: "no live replica can serve this request",
-					RetryAfterMS: 1000}})
+				emit(wire.BatchItem{V: wire.Version, Index: i, Error: noReplica()})
 			}
 			continue
 		}
 		wg.Add(1)
-		go func(urls []string, idxs []int) {
+		go func() {
 			defer wg.Done()
 			sub := make([]wire.CompileRequest, len(idxs))
 			for k, i := range idxs {
-				sub[k] = req.Requests[i]
+				sub[k] = reqs[i]
 			}
 			cl, err := rt.clientFor(urls)
-			if err != nil {
-				for _, i := range idxs {
-					writeItem(wire.BatchItem{V: wire.Version, Index: i,
-						Error: wire.Errorf(wire.CodeInternal, "%v", err)})
+			var items []wire.BatchItem
+			if err == nil {
+				items, err = cl.Batch(ctx, sub)
+			}
+			for k, i := range idxs {
+				if err != nil {
+					emit(wire.BatchItem{V: wire.Version, Index: i, Error: wire.Errorf(wire.CodeInternal, "%v", err)})
+					continue
 				}
-				return
+				items[k].Index = i
+				emit(items[k])
 			}
-			items, err := cl.Batch(r.Context(), sub)
-			if err != nil {
-				for _, i := range idxs {
-					writeItem(wire.BatchItem{V: wire.Version, Index: i, Error: asWireError(err)})
-				}
-				return
-			}
-			for k, item := range items {
-				item.Index = idxs[k]
-				writeItem(item)
-			}
-		}(urls, idxs)
+		}()
 	}
 	wg.Wait()
 }
 
-// handleStats aggregates /v1/stats across live replicas into one
-// logical daemon's view.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	type polled struct {
-		st   *replicaState
-		resp *wire.StatsResponse
-	}
+// Stats implements service.Backend: /v1/stats across live replicas
+// aggregated into one logical daemon's view.
+func (rt *Router) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 	var wg sync.WaitGroup
-	results := make(chan polled, len(rt.states))
+	results := make(chan *wire.StatsResponse, len(rt.states))
 	for _, st := range rt.states {
 		if !st.alive.Load() {
 			continue
 		}
 		wg.Add(1)
-		go func(st *replicaState) {
+		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, st.url+"/v1/stats", nil)
-			if err != nil {
-				return
+			if sr, err := st.cl.Stats(pctx); err == nil {
+				results <- sr
 			}
-			resp, err := rt.http.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var sr wire.StatsResponse
-			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-				return
-			}
-			results <- polled{st, &sr}
-		}(st)
+		}()
 	}
 	wg.Wait()
 	close(results)
@@ -512,9 +403,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	agg.Service.Requests = map[string]int64{}
 	buckets := map[float64]int64{}
 	polledCount, drainingCount := 0, 0
-	for p := range results {
+	for sr := range results {
 		polledCount++
-		ps := p.resp.Pipeline
+		ps := sr.Pipeline
 		a := &agg.Pipeline
 		a.Hits += ps.Hits
 		a.Misses += ps.Misses
@@ -530,7 +421,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		a.PeerHits += ps.PeerHits
 		a.Seeded += ps.Seeded
 
-		ss := p.resp.Service
+		ss := sr.Service
 		for k, v := range ss.Requests {
 			agg.Service.Requests[k] += v
 		}
@@ -561,27 +452,22 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		agg.Pipeline.HitRate = float64(agg.Pipeline.Hits) / float64(lookups)
 	}
 	agg.Service.Draining = polledCount > 0 && drainingCount == polledCount
-	les := make([]float64, 0, len(buckets))
-	for le := range buckets {
-		les = append(les, le)
-	}
-	sort.Float64s(les)
-	for _, le := range les {
+	for _, le := range slices.Sorted(maps.Keys(buckets)) {
 		b := wire.HistogramBucket{Le: le, Count: buckets[le]}
 		if math.IsInf(le, 1) {
 			b.Le = -1
 		}
 		agg.Service.LatencyMS = append(agg.Service.LatencyMS, b)
 	}
-	writeJSON(w, http.StatusOK, agg)
+	return &agg, nil
 }
 
-// handleCapabilities unions the fleet's capabilities: a scheduler one
-// replica serves is routable (capability routing sends it there), so
-// the union is what the cluster as a whole can do.  Quarantined is the
-// intersection — an engine is only cluster-quarantined when no replica
-// will take it.
-func (rt *Router) handleCapabilities(w http.ResponseWriter, r *http.Request) {
+// Capabilities implements service.Backend by unioning the fleet's
+// probed capabilities: a scheduler one replica serves is routable
+// (capability routing sends it there), so the union is what the
+// cluster as a whole can do.  Quarantined is the intersection — an
+// engine is only cluster-quarantined when no replica will take it.
+func (rt *Router) Capabilities(context.Context) (*wire.CapabilitiesResponse, error) {
 	agg := wire.CapabilitiesResponse{V: wire.Version}
 	schedulers, strategies, features, machines := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 	families := map[string]wire.StrategyFamily{}
@@ -629,62 +515,15 @@ func (rt *Router) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !polledAny {
-		writeError(w, wire.Errorf(wire.CodeDraining, "no replica has answered a capability probe"))
-		return
+		return nil, wire.Errorf(wire.CodeDraining, "no replica has answered a capability probe")
 	}
-	agg.Schedulers = sortedKeys(schedulers)
-	agg.Strategies = sortedKeys(strategies)
-	agg.Features = sortedKeys(features)
-	agg.Machines = sortedKeys(machines)
-	agg.Quarantined = sortedKeys(quarantine)
-	for _, p := range sortedKeys2(families) {
+	agg.Schedulers = slices.Sorted(maps.Keys(schedulers))
+	agg.Strategies = slices.Sorted(maps.Keys(strategies))
+	agg.Features = slices.Sorted(maps.Keys(features))
+	agg.Machines = slices.Sorted(maps.Keys(machines))
+	agg.Quarantined = slices.Sorted(maps.Keys(quarantine))
+	for _, p := range slices.Sorted(maps.Keys(families)) {
 		agg.StrategyFamilies = append(agg.StrategyFamilies, families[p])
 	}
-	writeJSON(w, http.StatusOK, agg)
-}
-
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]wire.StrategyFamily) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// asWireError coerces a client error to the wire shape, so routed
-// failures reach the caller with their original code and retry hint.
-func asWireError(err error) *wire.Error {
-	var werr *wire.Error
-	if errors.As(err, &werr) {
-		return werr
-	}
-	return wire.Errorf(wire.CodeInternal, "%v", err)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, werr *wire.Error) {
-	if werr.RetryAfterMS > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", (werr.RetryAfterMS+999)/1000))
-	}
-	writeJSON(w, wire.StatusOf(werr.Code), wire.ErrorResponse{V: wire.Version, Error: werr})
+	return &agg, nil
 }

@@ -1,7 +1,8 @@
 // Daemon-side metrics: lock-free counters and a fixed-bucket latency
-// histogram.  Deliberately per-Server rather than the process-global
-// expvar registry, so multiple Servers (tests, embedding) never fight
-// over names; /debug/vars renders them in expvar's flat-JSON style.
+// histogram.  Deliberately per-Front and per-Server rather than the
+// process-global expvar registry, so multiple Servers (tests,
+// embedding) never fight over names; /debug/vars renders them in
+// expvar's flat-JSON style.
 
 package service
 
@@ -12,27 +13,32 @@ import (
 	"repro/internal/wire"
 )
 
-// metrics is the counter block of one Server.
-type metrics struct {
+// frontMetrics is the counter block of one Front: requests per route,
+// deadline expiries, batch streams whose client vanished mid-stream, and
+// the request-latency histogram.
+type frontMetrics struct {
 	requests struct {
 		compile      atomic.Int64
 		batch        atomic.Int64
 		stats        atomic.Int64
 		capabilities atomic.Int64
-		cache        atomic.Int64
 	}
-	rejected  atomic.Int64
-	deadlines atomic.Int64
-	inflight  atomic.Int64
+	deadlines   atomic.Int64
+	disconnects atomic.Int64
+	latency     histogram
+}
+
+// metrics is the counter block of one Server, the local backend.
+type metrics struct {
+	cacheRequests atomic.Int64
+	rejected      atomic.Int64
+	inflight      atomic.Int64
 	// panics counts compiles answered with engine_panic; quarantined
 	// counts refusals of quarantined engines; degraded counts compiles
-	// rerouted to the baseline under allow_degraded; disconnects counts
-	// batch streams whose client vanished mid-stream.
+	// rerouted to the baseline under allow_degraded.
 	panics      atomic.Int64
 	quarantined atomic.Int64
 	degraded    atomic.Int64
-	disconnects atomic.Int64
-	latency     histogram
 }
 
 // latencyBucketsMS are the cumulative upper bounds (milliseconds) of

@@ -1,8 +1,10 @@
-// Package service is the compile-as-a-service layer: an HTTP daemon
-// fronting pipeline.Pipeline with the versioned JSON wire format of
-// internal/wire.  cmd/schedd is the thin binary around it.
+// Package service is the compile-as-a-service layer: one HTTP front
+// end (Front) over the versioned JSON wire format of internal/wire, and
+// a small Backend interface behind it.  Server is the local backend,
+// pipeline.Pipeline in this process (cmd/schedd is the thin binary
+// around it); the cluster router is the remote one (cmd/schedrouter).
 //
-// Endpoints:
+// Endpoints every front end serves:
 //
 //	POST /v1/compile   one compilation; wire.CompileRequest in,
 //	                   wire.CompileResponse out
@@ -12,39 +14,44 @@
 //	GET  /v1/stats     pipeline + service counters (wire.StatsResponse)
 //	GET  /v1/capabilities  registered schedulers, unroll policies and
 //	                   machine_ref names (wire.CapabilitiesResponse)
+//	GET  /healthz      liveness probe (always 200 while the process is up)
+//	GET  /readyz       readiness probe (503 once draining begins, or
+//	                   while the backend cannot take work)
+//
+// and the local backend adds:
+//
 //	GET  /v1/cache/{key}  one completed cache entry as a snapshot row
 //	                   (wire.CacheEntry), 404 cache_miss otherwise; the
 //	                   peer-federation read used by cluster mode
-
-//	GET  /healthz      liveness probe (always 200 while the process is up)
-//	GET  /readyz       readiness probe (503 once draining begins)
 //	GET  /debug/vars   expvar-style JSON metrics (requests, cache,
 //	                   fallbacks, latency histogram)
 //
-// The service adds what the batch pipeline lacks for long-running use:
-// a byte-bounded LRU over the compile cache (Config.CacheBytes), a
-// per-request deadline (Config.DefaultTimeout, clamped client override
-// via timeout_ms), admission control with bounded queueing — a request
-// beyond MaxInflight waits in a queue of QueueDepth and is turned away
-// with 429 once that overflows — and request-body size caps.  Graceful
-// drain is the daemon's job: http.Server.Shutdown lets in-flight
-// requests finish while the listener refuses new work.
+// The front end owns what every backend shares: request-body size caps
+// and strict decoding, the version gate, drain (BeginDrain), the
+// per-request deadline (the default timeout, or the client's timeout_ms
+// clamped to a maximum), the NDJSON batch stream with its per-line
+// write deadline and disconnect accounting, and the request counters
+// and latency histogram.  The local backend adds what the batch
+// pipeline lacks for long-running use: a byte-bounded LRU over the
+// compile cache (Config.CacheBytes), admission control with bounded
+// queueing — a request beyond MaxInflight waits in a queue of
+// QueueDepth and is turned away with 429 once that overflows — and
+// per-engine quarantine with degraded fallback.
 //
 // Error contract: every non-2xx response is a wire.ErrorResponse whose
 // code is one of the wire.Code* constants.  Status mapping: malformed
 // or invalid input 400, unknown loop_ref/machine_ref 404, oversized
-// body 413, unschedulable loop 422, admission rejection 429, deadline
-// 504.
+// body 413, unschedulable loop 422, admission rejection 429, draining
+// 503, deadline 504.
 package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,22 +113,23 @@ func (c Config) withDefaults(workers int) Config {
 		c.QueueDepth = 64
 	}
 	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
+		c.DefaultTimeout = defaultTimeout
 	}
 	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
+		c.MaxTimeout = defaultMaxTimeout
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
+		c.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	return c
 }
 
-// Server is the HTTP scheduling service.  Build one with New and mount
-// Handler on an http.Server.
+// Server is the local backend: the HTTP scheduling service over one
+// pipeline.  Build one with New and mount Handler on an http.Server.
 type Server struct {
-	cfg  Config
-	pipe *pipeline.Pipeline
+	cfg   Config
+	pipe  *pipeline.Pipeline
+	front *Front
 
 	// loops indexes the generated corpus by graph name for loop_ref;
 	// machines indexes the Table 1 configurations for machine_ref.  Both
@@ -134,10 +142,8 @@ type Server struct {
 	sem    chan struct{}
 	queued atomic.Int64
 
-	// quar is the per-engine circuit breaker; draining flips at
-	// BeginDrain and turns /readyz and new compile work away.
-	quar     *engine.Quarantine
-	draining atomic.Bool
+	// quar is the per-engine circuit breaker.
+	quar *engine.Quarantine
 
 	m metrics
 }
@@ -165,7 +171,7 @@ func New(cfg Config) *Server {
 		pipe.WrapCompile(cfg.Faults.WrapCompile)
 		cfg.Faults.SetEvict(func() { pipe.Purge() })
 	}
-	return &Server{
+	s := &Server{
 		cfg:      cfg,
 		pipe:     pipe,
 		loops:    corpus.Index(corpus.SPECfp95()),
@@ -173,6 +179,8 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		quar:     engine.NewQuarantine(cfg.Breaker),
 	}
+	s.front = &Front{b: s, maxBody: cfg.MaxBodyBytes, timeout: cfg.DefaultTimeout, maxTimeout: cfg.MaxTimeout}
+	return s
 }
 
 // Pipeline exposes the underlying pipeline (stats, tests).
@@ -181,41 +189,21 @@ func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
 // Quarantine exposes the engine circuit breakers (tests, probes).
 func (s *Server) Quarantine() *engine.Quarantine { return s.quar }
 
-// BeginDrain flips the server into drain mode: /readyz answers 503 so
-// load balancers stop routing here, and new compile work is refused
-// with the draining error while in-flight requests finish.  The daemon
-// calls it on SIGTERM, before http.Server.Shutdown.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// BeginDrain flips the server's front end into drain mode (see
+// Front.BeginDrain).
+func (s *Server) BeginDrain() { s.front.BeginDrain() }
 
-// Handler returns the service mux (wrapped in the fault-injection
-// middleware when the server runs in chaos mode).
+// Handler returns the shared front end's mux plus the local routes
+// (wrapped in the fault-injection middleware when the server runs in
+// chaos mode).
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/compile", s.handleCompile)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
+	mux := s.front.Mux()
 	mux.HandleFunc("GET /v1/cache/{key...}", s.handleCacheGet)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	if s.cfg.Faults != nil {
 		return s.cfg.Faults.Middleware(mux)
 	}
 	return mux
-}
-
-// requestCtx derives the compile deadline: the client's timeout_ms
-// clamped to MaxTimeout, or the server default.
-func (s *Server) requestCtx(parent context.Context, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-	}
-	return context.WithTimeout(parent, d)
 }
 
 // errOverCapacity marks an admission rejection internally.
@@ -310,28 +298,15 @@ func (s *Server) resolve(req *wire.CompileRequest) (pipeline.Request, *wire.Erro
 	return out, nil
 }
 
-// compileOne runs one request through the version gate, resolution,
-// admission, the deadline and the pipeline, mapping every failure to
-// its wire error.  Both /v1/compile and each /v1/batch item funnel
-// through here, so a batch item with a wrong version is rejected
-// exactly like the same body posted alone.
-func (s *Server) compileOne(ctx context.Context, req *wire.CompileRequest) (*wire.Result, *wire.Error) {
-	if s.draining.Load() {
-		werr := wire.Errorf(wire.CodeDraining, "daemon is draining for shutdown")
-		werr.RetryAfterMS = drainRetryHint.Milliseconds()
-		return nil, werr
-	}
-	if werr := wire.CheckVersion(req.V); werr != nil {
-		return nil, werr
-	}
+// Compile implements Backend: resolution, admission, the engine
+// quarantine gate and the pipeline, every failure a *wire.Error except
+// context expiry, which goes back bare for the front end to map.
+func (s *Server) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.Result, error) {
 	preq, werr := s.resolve(req)
 	if werr != nil {
 		return nil, werr
 	}
-	cctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
-	defer cancel()
-
-	release, err := s.admit(cctx)
+	release, err := s.admit(ctx)
 	if err != nil {
 		if errors.Is(err, errOverCapacity) {
 			s.m.rejected.Add(1)
@@ -339,7 +314,7 @@ func (s *Server) compileOne(ctx context.Context, req *wire.CompileRequest) (*wir
 			werr.RetryAfterMS = s.rejectRetryHint().Milliseconds()
 			return nil, werr
 		}
-		return nil, s.ctxError(err)
+		return nil, err
 	}
 	defer release()
 
@@ -369,7 +344,7 @@ func (s *Server) compileOne(ctx context.Context, req *wire.CompileRequest) (*wir
 		s.m.degraded.Add(1)
 	}
 
-	res, err := s.pipe.CompileCtx(cctx, preq)
+	res, err := s.pipe.CompileCtx(ctx, preq)
 	if err != nil {
 		var perr *engine.PanicError
 		if errors.As(err, &perr) {
@@ -377,11 +352,11 @@ func (s *Server) compileOne(ctx context.Context, req *wire.CompileRequest) (*wir
 			s.m.panics.Add(1)
 			return nil, wire.Errorf(wire.CodeEnginePanic, "%v", perr)
 		}
-		if cerr := cctx.Err(); cerr != nil {
+		if cerr := ctx.Err(); cerr != nil {
 			if errors.Is(cerr, context.DeadlineExceeded) {
 				s.quar.ReportFailure(runEng, engine.FailTimeout)
 			}
-			return nil, s.ctxError(cerr)
+			return nil, cerr
 		}
 		// The engine completed, just without a schedule: deterministic
 		// rejections are not engine sickness, so they count as breaker
@@ -411,10 +386,6 @@ func (s *Server) compileOne(ctx context.Context, req *wire.CompileRequest) (*wir
 	return wres, nil
 }
 
-// drainRetryHint is the Retry-After a draining daemon sends: a restart
-// or a rebalance is seconds away, not minutes.
-const drainRetryHint = 2 * time.Second
-
 // rejectRetryHint derives the 429 Retry-After from queue occupancy: an
 // empty queue suggests a blip, a full one sustained pressure.
 func (s *Server) rejectRetryHint() time.Duration {
@@ -429,207 +400,66 @@ func (s *Server) shedding() bool {
 	return s.cfg.QueueDepth > 0 && s.queued.Load()*2 >= int64(s.cfg.QueueDepth)
 }
 
-// ctxError maps a context failure to its wire error.
-func (s *Server) ctxError(err error) *wire.Error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.m.deadlines.Add(1)
-		return wire.Errorf(wire.CodeDeadlineExceeded, "compile did not finish within the request deadline")
-	}
-	return wire.Errorf(wire.CodeBadRequest, "request canceled: %v", err)
-}
-
-// statusOf maps wire error codes to HTTP status.
-func statusOf(werr *wire.Error) int { return wire.StatusOf(werr.Code) }
-
-// writeJSON writes one JSON body with the given status.  HTML escaping
-// is off: this is an API, and names like "sweep:<k>" must round-trip
-// as spelled.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-// writeError writes the wire error shape; a retry hint also goes out
-// as a Retry-After header (whole seconds, rounded up) so plain HTTP
-// clients and proxies can honour it without parsing the body.
-func writeError(w http.ResponseWriter, werr *wire.Error) {
-	if werr.RetryAfterMS > 0 {
-		secs := (werr.RetryAfterMS + 999) / 1000
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSON(w, statusOf(werr), wire.ErrorResponse{V: wire.Version, Error: werr})
-}
-
-// decodeBody strictly decodes a size-capped request body, mapping
-// overflow to the 413 wire error.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *wire.Error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := wire.DecodeStrict(body, v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return wire.Errorf(wire.CodeBodyTooLarge, "request body over the %d byte limit", tooBig.Limit)
-		}
-		return wire.Errorf(wire.CodeBadRequest, "malformed request: %v", err)
-	}
-	return nil
-}
-
-// handleCompile serves POST /v1/compile.
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.compile.Add(1)
-	var req wire.CompileRequest
-	if werr := s.decodeBody(w, r, &req); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	res, werr := s.compileOne(r.Context(), &req)
-	s.m.latency.observe(time.Since(start))
-	if werr != nil {
-		writeError(w, werr)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.CompileResponse{V: wire.Version, Result: res})
-}
-
-// handleBatch serves POST /v1/batch: the whole request decodes up
-// front, then one NDJSON line streams out per item as its compilation
-// completes, so a client can consume early results while late ones are
-// still scheduling.  Item failures (unknown refs, deadlines, admission
-// rejections) ride in their line's error field; the stream itself is
-// always 200 once the envelope parses.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.batch.Add(1)
-	var req wire.BatchRequest
-	if werr := s.decodeBody(w, r, &req); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	if werr := wire.CheckVersion(req.V); werr != nil {
-		writeError(w, werr)
-		return
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, wire.Errorf(wire.CodeBadRequest, "empty batch"))
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	// Push the headers out before the first compile completes, so the
-	// client sees the stream open immediately rather than blocking on
-	// the slowest first item.
-	if flusher != nil {
-		flusher.Flush()
-	}
-
-	// Fan the items across a bounded worker pool no wider than the
-	// admission gate, so one batch never trips its own items into
-	// over_capacity: at most MaxInflight admits race at once and the
-	// rest of the batch waits its turn in the workers, not the queue.
-	workers := min(s.pipe.Workers(), s.cfg.MaxInflight)
-	workers = max(1, min(workers, len(req.Requests)))
+// Batch implements Backend: the items fan across a bounded worker pool
+// no wider than the admission gate, so one batch never trips its own
+// items into over_capacity: at most MaxInflight admits race at once and
+// the rest of the batch waits its turn in the workers, not the queue.
+// Each item passes the same front-end gates as a lone /v1/compile.
+func (s *Server) Batch(ctx context.Context, reqs []wire.CompileRequest, emit func(wire.BatchItem)) {
+	workers := max(1, min(s.pipe.Workers(), s.cfg.MaxInflight, len(reqs)))
 	idx := make(chan int)
-	items := make(chan wire.BatchItem)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				item := wire.BatchItem{V: wire.Version, Index: i}
-				res, werr := s.compileOne(r.Context(), &req.Requests[i])
-				if werr != nil {
-					item.Error = werr
-				} else {
-					item.Result = res
-				}
-				items <- item
+				res, werr := s.front.answer(ctx, &reqs[i])
+				emit(wire.BatchItem{V: wire.Version, Index: i, Result: res, Error: werr})
 			}
 		}()
 	}
-	go func() {
-		for i := range req.Requests {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		close(items)
-	}()
-	// Per-line write deadline: a client that stops reading the stream
-	// must not pin this handler (and graceful drain) forever; a blanket
-	// server WriteTimeout would instead kill legitimate long batches.
-	// A failed write means the client is gone (mid-stream disconnect):
-	// stop writing — the request context is already cancelled, so the
-	// remaining items fail fast — but keep draining the channel so the
-	// workers exit and their admission slots come free.
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	clientGone := false
-	for item := range items {
-		if clientGone {
-			continue
-		}
-		rc.SetWriteDeadline(time.Now().Add(streamWriteBudget))
-		if err := enc.Encode(item); err != nil {
-			clientGone = true
-			s.m.disconnects.Add(1)
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	for i := range reqs {
+		idx <- i
 	}
-	s.m.latency.observe(time.Since(start))
+	close(idx)
+	wg.Wait()
 }
 
-// streamWriteBudget bounds each NDJSON line's write+flush; generous for
-// any live client, finite for a dead one.
-const streamWriteBudget = 30 * time.Second
-
-// handleStats serves GET /v1/stats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.stats.Add(1)
-	writeJSON(w, http.StatusOK, wire.StatsResponse{
+// Stats implements Backend: pipeline and service counters.
+func (s *Server) Stats(context.Context) (*wire.StatsResponse, error) {
+	return &wire.StatsResponse{
 		V:        wire.Version,
 		Pipeline: wire.FromPipelineStats(s.pipe.Stats()),
 		Service:  s.serviceStats(),
-	})
+	}, nil
 }
 
-// handleCapabilities serves GET /v1/capabilities: what this daemon can
-// compile — the engine registry's schedulers and unroll policies and
-// the machine_ref names — so clients discover a newly registered
-// policy without a wire-version bump.
-func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.capabilities.Add(1)
-	machines := make([]string, 0, len(s.machines))
-	for name := range s.machines {
-		machines = append(machines, name)
-	}
-	sort.Strings(machines)
+// Ready implements Backend: a local server takes work whenever it is
+// not draining, which the front end tracks.
+func (s *Server) Ready() bool { return true }
+
+// Capabilities implements Backend: what this daemon can compile — the
+// engine registry's schedulers and unroll policies and the machine_ref
+// names — so clients discover a newly registered policy without a
+// wire-version bump.
+func (s *Server) Capabilities(context.Context) (*wire.CapabilitiesResponse, error) {
 	var families []wire.StrategyFamily
 	for _, f := range engine.StrategyFamilies() {
 		families = append(families, wire.StrategyFamily{
 			Prefix: f.Prefix, Placeholder: f.Placeholder, Doc: f.Doc,
 		})
 	}
-	writeJSON(w, http.StatusOK, wire.CapabilitiesResponse{
+	return &wire.CapabilitiesResponse{
 		V:                wire.Version,
 		Schedulers:       core.SchedulerNames(),
 		Strategies:       core.StrategyNames(),
 		StrategyFamilies: families,
 		Features:         []string{"allow_degraded", "parallel_ii"},
 		Quarantined:      s.quar.Quarantined(),
-		Machines:         machines,
+		Machines:         slices.Sorted(maps.Keys(s.machines)),
 		Loops:            len(s.loops),
-	})
+	}, nil
 }
 
 // handleCacheGet serves GET /v1/cache/{key}: one completed cache
@@ -639,7 +469,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 // touching the hit/miss counters, and keeps answering while draining:
 // a draining daemon's cache is exactly what its peers need to inherit.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	s.m.requests.cache.Add(1)
+	s.m.cacheRequests.Add(1)
 	key := r.PathValue("key")
 	res, ok := s.pipe.Peek(key)
 	if !ok {
@@ -649,22 +479,24 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.FromCacheEntry(pipeline.CacheEntry{Key: key, Res: res}))
 }
 
-// serviceStats snapshots the daemon-side counters.
+// serviceStats snapshots the daemon-side counters: the front end's
+// plus the local backend's.
 func (s *Server) serviceStats() wire.ServiceStats {
+	fm := &s.front.m
 	st := wire.ServiceStats{
 		Requests: map[string]int64{
-			"compile":      s.m.requests.compile.Load(),
-			"batch":        s.m.requests.batch.Load(),
-			"stats":        s.m.requests.stats.Load(),
-			"capabilities": s.m.requests.capabilities.Load(),
-			"cache":        s.m.requests.cache.Load(),
+			"compile":      fm.requests.compile.Load(),
+			"batch":        fm.requests.batch.Load(),
+			"stats":        fm.requests.stats.Load(),
+			"capabilities": fm.requests.capabilities.Load(),
+			"cache":        s.m.cacheRequests.Load(),
 		},
 		Rejected:    s.m.rejected.Load(),
-		Deadlines:   s.m.deadlines.Load(),
+		Deadlines:   fm.deadlines.Load(),
 		InFlight:    s.m.inflight.Load(),
 		Queued:      s.queued.Load(),
-		LatencyMS:   s.m.latency.buckets(),
-		Draining:    s.draining.Load(),
+		LatencyMS:   fm.latency.buckets(),
+		Draining:    s.front.draining.Load(),
 		Degraded:    s.m.degraded.Load(),
 		Quarantined: s.m.quarantined.Load(),
 		Engines:     wire.FromEngineHealth(s.quar.Snapshot()),
@@ -675,27 +507,6 @@ func (s *Server) serviceStats() wire.ServiceStats {
 	return st
 }
 
-// handleHealthz serves GET /healthz: pure liveness — the process is
-// up and serving, draining or not.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz serves GET /readyz: readiness flips to 503 the moment
-// the daemon begins draining, so load balancers stop routing new work
-// here while in-flight requests finish.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(drainRetryHint/time.Second), 10))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
 // handleVars serves GET /debug/vars in expvar's flat-JSON style.  The
 // vars are per-server (not the process-global expvar registry) so
 // several Servers — e.g. under test — never collide.
@@ -704,7 +515,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"schedd.requests":      s.serviceStats().Requests,
 		"schedd.rejected":      s.m.rejected.Load(),
-		"schedd.deadlines":     s.m.deadlines.Load(),
+		"schedd.deadlines":     s.front.m.deadlines.Load(),
 		"schedd.inflight":      s.m.inflight.Load(),
 		"schedd.cache.hits":    ps.Hits,
 		"schedd.cache.misses":  ps.Misses,
@@ -717,7 +528,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 		"schedd.panics":        ps.Panics,
 		"schedd.quarantined":   s.m.quarantined.Load(),
 		"schedd.degraded":      s.m.degraded.Load(),
-		"schedd.disconnects":   s.m.disconnects.Load(),
-		"schedd.latency_ms":    s.m.latency.buckets(),
+		"schedd.disconnects":   s.front.m.disconnects.Load(),
+		"schedd.latency_ms":    s.front.m.latency.buckets(),
 	})
 }
