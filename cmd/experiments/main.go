@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|table2|fig4|fig8|fig9|fig10|optgap|ablations] [-markdown] [-workers N] [-trim N] [-strategies a,b,c]
+//	experiments [-run all|corpus|table1|table2|fig4|fig8|fig9|fig10|optgap|ablations] [-markdown] [-workers N] [-trim N] [-strategies a,b,c]
 //
 // With -markdown the tables are printed as GitHub Markdown (the format
 // EXPERIMENTS.md records).  Compilations run through the concurrent
@@ -15,12 +15,17 @@
 // "no_unroll,portfolio,sweep:4"), so a newly registered policy drops
 // straight into the paper's headline comparison.
 //
+// -run corpus prints the workload's per-benchmark statistics (loops,
+// mean body size, recurrences, loop-carried dependences, mean trip
+// count); one loop's detail is vliwsched <bench.loopN>.
+//
 // -run optgap scores BSA against the exact branch-and-bound oracle
 // (internal/exact) on every Table 1 configuration; it is the slowest
 // artefact (minutes on the full corpus) and therefore NOT part of
 // -run all — ask for it explicitly.  -trim N cuts every benchmark to
-// its first N loops — the CI smoke uses it to keep the oracle sweep
-// to seconds.
+// its first N loops, and every artefact (corpus included) then covers
+// the cut suite — the CI smoke uses it to keep the oracle sweep to
+// seconds.
 package main
 
 import (
@@ -38,7 +43,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "which artefact to regenerate (all, table1, table2, fig4, fig8, fig9, fig10, optgap, ablations)")
+	run := flag.String("run", "all", "which artefact to regenerate (all, corpus, table1, table2, fig4, fig8, fig9, fig10, optgap, ablations)")
 	markdown := flag.Bool("markdown", false, "emit GitHub Markdown instead of ASCII")
 	workers := flag.Int("workers", 0, "pipeline worker count (0 = GOMAXPROCS)")
 	trim := flag.Int("trim", 0, "keep only the first N loops of every benchmark (0 = full corpus)")
@@ -72,6 +77,9 @@ func main() {
 	want := func(name string) bool { return *run == "all" || *run == name }
 	start := time.Now()
 
+	if want("corpus") {
+		emit(experiments.Corpus(suite.Benchmarks), nil)
+	}
 	if want("table1") {
 		emit(experiments.Table1(), nil)
 	}

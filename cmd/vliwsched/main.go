@@ -1,10 +1,12 @@
-// Command vliwsched schedules a loop written in the textual IR on a
-// chosen clustered VLIW configuration and prints the analysis, the
-// modulo schedule, the emitted kernel and a simulated execution.
+// Command vliwsched schedules one loop on a chosen clustered VLIW
+// configuration and prints the analysis, the modulo schedule, the
+// emitted kernel and a simulated execution.  The loop is either a file
+// in the textual IR or a loop of the synthetic SPECfp95 corpus named by
+// its ref ("tomcatv.loop0"), the same name schedd accepts as loop_ref.
 //
 // Usage:
 //
-//	vliwsched [flags] loop.ir
+//	vliwsched [flags] loop.ir|bench.loopN
 //
 //	-config unified|2cluster|4cluster   target machine (default 4cluster)
 //	-buses N                            bus count (default 1)
@@ -13,29 +15,30 @@
 //	                                    ne (Nystrom-Eichenberger), exact, ...
 //	-strategy NAME                      any registered unroll policy: no_unroll
 //	                                    (default), unroll_all, selective,
-//	                                    portfolio, sweep:<k>, ...
-//	-unroll none|all|selective          legacy alias of -strategy
+//	                                    portfolio, sweep:<k>, ... (the legacy
+//	                                    names none, all are aliases)
 //	-stages                             print the per-stage compile telemetry
 //	-dot                                print the DDG in Graphviz DOT and exit
-//	-batch                              compile every corpus loop on every
-//	                                    Table 1 configuration concurrently
-//	-workers N                          pipeline pool size (0 = GOMAXPROCS)
 //
 // Unknown -scheduler/-strategy names fail with the registered list
-// (the same registry GET /v1/capabilities serves).
+// (the same registry GET /v1/capabilities serves).  Compiling the whole
+// corpus is cmd/experiments' job; its -run corpus prints the suite's
+// per-benchmark statistics.
 //
 // Examples:
 //
-//	vliwsched -config 4cluster -buses 1 -strategy selective examples/loops/stencil.ir
-//	vliwsched -config 4cluster -strategy portfolio -stages examples/loops/stencil.ir
-//	vliwsched -batch -strategy sweep:4 -workers 8
+//	vliwsched -config 4cluster -buses 1 -strategy selective tomcatv.loop0
+//	vliwsched -config 4cluster -strategy portfolio -stages tomcatv.loop0
+//	vliwsched -dot swim.loop2
+//	vliwsched -config 2cluster loop.ir
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -43,7 +46,6 @@ import (
 	"repro/internal/emit"
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/pipeline"
 	"repro/internal/vliwsim"
 )
 
@@ -53,11 +55,8 @@ func main() {
 	busLat := flag.Int("buslat", 1, "bus latency in cycles")
 	scheduler := flag.String("scheduler", "bsa", "registered scheduler name (bsa, ne, exact, ...)")
 	strategy := flag.String("strategy", "", "registered unroll policy name (no_unroll, unroll_all, selective, portfolio, sweep:<k>, ...)")
-	unrollMode := flag.String("unroll", "", "legacy alias of -strategy (none, all, selective)")
 	stages := flag.Bool("stages", false, "print the per-stage compile telemetry")
 	dot := flag.Bool("dot", false, "print the dependence graph in DOT and exit")
-	batch := flag.Bool("batch", false, "compile the whole corpus on every Table 1 config concurrently")
-	workers := flag.Int("workers", 0, "pipeline worker count in batch mode (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	opts := core.Options{}
@@ -66,60 +65,20 @@ func main() {
 		fatal(err)
 	}
 	opts.Scheduler = sch
-	stratName := *strategy
-	if *unrollMode != "" {
-		if stratName != "" {
-			fatal(fmt.Errorf("-strategy and -unroll are the same flag; drop -unroll"))
-		}
-		stratName = *unrollMode
-	}
-	if stratName != "" {
-		strat, err := core.ParseStrategy(stratName)
+	if *strategy != "" {
+		strat, err := core.ParseStrategy(*strategy)
 		if err != nil {
 			fatal(err)
 		}
 		opts.Strategy = strat
 	}
 
-	if *batch {
-		// Batch mode sweeps every Table 1 configuration over the built-in
-		// corpus; single-loop flags and arguments would be silently
-		// meaningless, so reject them.
-		var conflict []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "config", "buses", "buslat", "dot", "stages":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			fatal(fmt.Errorf("batch mode sweeps every Table 1 configuration; drop %s",
-				strings.Join(conflict, ", ")))
-		}
-		if flag.NArg() > 0 {
-			fatal(fmt.Errorf("batch mode compiles the built-in corpus; unexpected argument %q", flag.Arg(0)))
-		}
-		runBatch(opts, *workers)
-		return
-	}
-
-	// The mirror check: -workers only means something in batch mode.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			fatal(fmt.Errorf("-workers only applies to -batch mode"))
-		}
-	})
-
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vliwsched [flags] loop.ir")
+		fmt.Fprintln(os.Stderr, "usage: vliwsched [flags] loop.ir|bench.loopN")
 		flag.Usage()
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	loop, err := ir.Parse(string(src))
+	loop, err := loadLoop(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -133,8 +92,12 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("loop %s: %d ops, %d edges, iters=%d\n",
+	fmt.Printf("loop %s: %d ops, %d edges, iters=%d",
 		loop.Graph.Name, loop.Graph.NumNodes(), loop.Graph.NumEdges(), loop.Iters)
+	if loop.Weight > 0 {
+		fmt.Printf(", weight=%d", loop.Weight)
+	}
+	fmt.Println()
 	fmt.Printf("machine: %s\n", cfg.String())
 	fmt.Printf("ResMII=%d RecMII=%d MinII=%d\n\n",
 		loop.Graph.ResMII(&cfg), loop.Graph.RecMII(), loop.Graph.MinII(&cfg))
@@ -167,53 +130,26 @@ func main() {
 	fmt.Printf("register pressure per cluster: %v (capacity %d)\n", sim.MaxPressure, cfg.RegsPerCluster)
 }
 
-// runBatch compiles every loop of the synthetic SPECfp95 corpus on
-// every Table 1 machine configuration through the concurrent pipeline,
-// validates every schedule, and prints one summary line per
-// configuration plus the pipeline statistics.
-func runBatch(opts core.Options, workers int) {
-	start := time.Now()
-	p := pipeline.New(workers)
-	cfgs := machine.Table1Configs()
-
-	var loops []*corpus.Loop
-	for _, b := range corpus.SPECfp95() {
-		loops = append(loops, b.Loops...)
-	}
-	var reqs []pipeline.Request
-	for _, cfg := range cfgs {
-		for _, l := range loops {
-			reqs = append(reqs, pipeline.Request{Loop: l, Cfg: cfg, Opts: opts})
+// loadLoop resolves the positional argument: an existing file is
+// parsed as textual IR; otherwise the argument must be a corpus loop
+// ref, looked up in the same index schedd resolves loop_ref against.
+// Only corpus loops carry a weight.
+func loadLoop(arg string) (*corpus.Loop, error) {
+	src, err := os.ReadFile(arg)
+	if err == nil {
+		l, err := ir.Parse(string(src))
+		if err != nil {
+			return nil, err
 		}
+		return &corpus.Loop{Graph: l.Graph, Iters: l.Iters}, nil
 	}
-	resps := p.CompileBatch(reqs)
-
-	fmt.Printf("batch: %d loops x %d configs = %d compilations (%d workers)\n\n",
-		len(loops), len(cfgs), len(reqs), p.Workers())
-	fmt.Printf("%-18s %8s %10s %10s %8s %8s\n", "config", "loops", "mean II", "mean/iter", "unrolled", "failed")
-	for ci, cfg := range cfgs {
-		var iiSum, perIterSum float64
-		var unrolled, failed, ok int
-		for li := range loops {
-			r := resps[ci*len(loops)+li]
-			if r.Err != nil {
-				failed++
-				continue
-			}
-			ok++
-			iiSum += float64(r.Result.Schedule.II)
-			perIterSum += r.Result.IterationII()
-			if r.Result.Factor > 1 {
-				unrolled++
-			}
-		}
-		meanII, meanIter := 0.0, 0.0
-		if ok > 0 {
-			meanII, meanIter = iiSum/float64(ok), perIterSum/float64(ok)
-		}
-		fmt.Printf("%-18s %8d %10.2f %10.2f %8d %8d\n", cfg.Name, ok, meanII, meanIter, unrolled, failed)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "\n%v, total %v\n", p.Stats(), time.Since(start).Round(time.Millisecond))
+	if l, ok := corpus.Index(corpus.SPECfp95())[arg]; ok {
+		return l, nil
+	}
+	return nil, fmt.Errorf("%q is neither an IR file nor a corpus loop ref (corpus loops are named bench.loopN, e.g. tomcatv.loop0)", arg)
 }
 
 // printStages renders the per-stage compile telemetry: where the

@@ -1,0 +1,44 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+func TestLoadLoopCorpusRef(t *testing.T) {
+	l, err := loadLoop("tomcatv.loop0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Graph.Name != "tomcatv.loop0" || l.Weight == 0 || l.Iters == 0 {
+		t.Errorf("got %s iters=%d weight=%d, want tomcatv.loop0 with trip count and weight",
+			l.Graph.Name, l.Iters, l.Weight)
+	}
+}
+
+func TestLoadLoopIRFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loop.ir")
+	src := "loop stencil iters=64\na = load p\ns = fadd a, a\nstore s\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := loadLoop(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Graph.Name != "stencil" || l.Iters != 64 || l.Weight != 0 {
+		t.Errorf("got %s iters=%d weight=%d, want stencil iters=64 and no weight",
+			l.Graph.Name, l.Iters, l.Weight)
+	}
+}
+
+func TestLoadLoopUnknownShowsRefForm(t *testing.T) {
+	for _, arg := range []string{"nosuch.loop0", "tomcatv.loop99", "tomcatv"} {
+		_, err := loadLoop(arg)
+		if err == nil || !strings.Contains(err.Error(), "bench.loopN") {
+			t.Errorf("loadLoop(%q) = %v, want an error naming the bench.loopN form", arg, err)
+		}
+	}
+}

@@ -32,9 +32,9 @@
 // GOMAXPROCS workers with deterministic result ordering, and a Stats
 // snapshot reports hits, misses, dedup joins, unroll fallbacks and
 // timing.  The experiments drivers prime the pipeline with each
-// figure's whole compilation grid before building rows, and
-// cmd/vliwsched's -batch mode compiles the full corpus across every
-// Table 1 configuration concurrently.
+// figure's whole compilation grid before building rows; compiling the
+// full corpus under any registered policy is cmd/experiments
+// -strategies, and one loop is cmd/vliwsched <loop.ir|bench.loopN>.
 //
 // The pipeline is also served over HTTP: cmd/schedd (internal/service)
 // fronts it with POST /v1/compile, a streaming NDJSON POST /v1/batch,

@@ -219,7 +219,7 @@ func genLoop(p Profile, rng *rand.Rand, idx int) *ddg.Graph {
 	size := p.MinOps + rng.Intn(p.MaxOps-p.MinOps+1)
 
 	// Split the body into class counts following the mix.
-	counts := splitMix(p.Mix, size, rng)
+	counts := ddg.Apportion(p.Mix.weights(), size, rng)
 
 	// Loads first: they are the natural sources of the body.
 	var producers []int
@@ -312,34 +312,17 @@ func pickProducer(rng *rand.Rand, producers []int) int {
 	return producers[rng.Intn(len(producers))]
 }
 
-// splitMix apportions size operations across classes proportionally to
-// the mix, randomly rounding the remainder.
-func splitMix(mix OpMix, size int, rng *rand.Rand) [machine.NumOpClasses]int {
-	weights := [machine.NumOpClasses]float64{
-		machine.OpLoad:  mix.Load,
-		machine.OpStore: mix.Store,
-		machine.OpFAdd:  mix.FAdd,
-		machine.OpFMul:  mix.FMul,
-		machine.OpFDiv:  mix.FDiv,
-		machine.OpIAdd:  mix.IAdd,
-		machine.OpIMul:  mix.IMul,
+// weights lays the mix out as per-class weights for ddg.Apportion.
+func (m OpMix) weights() [machine.NumOpClasses]float64 {
+	return [machine.NumOpClasses]float64{
+		machine.OpLoad:  m.Load,
+		machine.OpStore: m.Store,
+		machine.OpFAdd:  m.FAdd,
+		machine.OpFMul:  m.FMul,
+		machine.OpFDiv:  m.FDiv,
+		machine.OpIAdd:  m.IAdd,
+		machine.OpIMul:  m.IMul,
 	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	var counts [machine.NumOpClasses]int
-	assigned := 0
-	for c, w := range weights {
-		counts[c] = int(w / total * float64(size))
-		assigned += counts[c]
-	}
-	classes := []machine.OpClass{machine.OpLoad, machine.OpFAdd, machine.OpFMul, machine.OpIAdd}
-	for assigned < size {
-		counts[classes[rng.Intn(len(classes))]]++
-		assigned++
-	}
-	return counts
 }
 
 // regDemand is the spill-free lower bound on registers: every produced

@@ -15,6 +15,15 @@ import (
 // producers, a sprinkle of memory-ordering edges, and up to two
 // loop-carried recurrences.  Returns nil when the generated graph fails
 // Validate.
+//
+// Random and Synth stay two generators on purpose.  Random maps fuzz
+// byte-triples onto graphs: the committed FuzzSchedule corpus and the
+// pinned seeds of the differential, pressure and parallel-II race tests
+// are (seed, nNodes, nExtra) triples whose meaning is exactly this
+// function's draw sequence and its sample-graph table.  Re-expressing it
+// as a SynthSpec would silently turn every pinned entry into a different
+// graph.  Synth is spec-driven: real-valued knobs at any size, for the
+// load harness.  TestGeneratorGolden pins both.
 func Random(seed uint64, nNodes, nExtra uint8) *Graph {
 	if nNodes == 0 {
 		switch seed % 5 {

@@ -3,7 +3,9 @@
 // arguments exist to map fuzzer inputs onto small graphs, Synth takes
 // an explicit spec with real-valued density knobs and honors every one
 // of them without truncation, so a corpus family can be scaled from
-// toy bodies to thousand-node loops with controlled structure.
+// toy bodies to thousand-node loops with controlled structure.  The
+// two generators stay separate because their inputs mean different
+// things (see Random); they share only Apportion.
 
 package ddg
 
@@ -108,7 +110,7 @@ func Synth(spec SynthSpec) (*Graph, error) {
 	// Apportion the body across classes, then lay it out the way the
 	// corpus generator does: loads (the natural sources) first,
 	// recurrence chains, arithmetic, stores.
-	counts := apportion(synthMix, spec.Nodes, rng)
+	counts := Apportion(synthMix, spec.Nodes, rng)
 	// Recurrence nodes come out of the arithmetic budget; keep at least
 	// one load so the body has a source to feed the chains.
 	if counts[machine.OpLoad] == 0 {
@@ -236,9 +238,12 @@ func pickAffine(rng *rand.Rand, producers []int, consumer int, spec SynthSpec) i
 	return producers[n-1-rng.Intn(recent)]
 }
 
-// apportion splits size operations across classes proportionally to the
-// mix, handing the rounding remainder to loads and adds.
-func apportion(mix [machine.NumOpClasses]float64, size int, rng *rand.Rand) [machine.NumOpClasses]int {
+// Apportion splits size operations across classes proportionally to the
+// mix, handing the rounding remainder to loads and adds.  It is the one
+// copy both body generators share: corpus.Generate apportions each
+// SPECfp95 loop with it, Synth each synthesized body, and the exact
+// sequence of rng draws is part of both generators' output.
+func Apportion(mix [machine.NumOpClasses]float64, size int, rng *rand.Rand) [machine.NumOpClasses]int {
 	total := 0.0
 	for _, w := range mix {
 		total += w

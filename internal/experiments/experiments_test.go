@@ -192,6 +192,30 @@ func TestTable1Static(t *testing.T) {
 	}
 }
 
+func TestCorpusTable(t *testing.T) {
+	tab := Corpus(corpus.SPECfp95())
+	if len(tab.Rows) != 10 {
+		t.Fatalf("rows = %d, want one per benchmark", len(tab.Rows))
+	}
+	// Pinned rows: benchmark, loops, avg ops, recurrences,
+	// loop-carried deps, avg iters.
+	want := map[string]string{
+		"tomcatv": "tomcatv 8 34 5 14 155",
+		"fpppp":   "fpppp 5 52 0 0 52",
+		"wave5":   "wave5 8 17 3 12 149",
+	}
+	for _, row := range tab.Rows {
+		if w, ok := want[row[0]]; ok && strings.Join(row, " ") != w {
+			t.Errorf("row %q, want %q", strings.Join(row, " "), w)
+		}
+	}
+	for _, row := range Corpus(trimmedSuite(t).Benchmarks).Rows {
+		if row[1] != "3" {
+			t.Errorf("%s: %s loops in the trimmed suite, want 3", row[0], row[1])
+		}
+	}
+}
+
 func TestTable2Static(t *testing.T) {
 	tab := Table2()
 	if len(tab.Rows) != 5 {

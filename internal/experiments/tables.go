@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/corpus"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/timing"
@@ -47,6 +48,26 @@ func Table2() *report.Table {
 			fmt.Sprintf("%.0f", row.BypassPS),
 			fmt.Sprintf("%.0f", row.RegFilePS),
 			fmt.Sprintf("%.0f", row.CyclePS))
+	}
+	return t
+}
+
+// Corpus summarizes the workload itself, one row per benchmark: loop
+// count, mean body size, recurrence cycles, loop-carried dependences
+// and mean trip count.
+func Corpus(suite []*corpus.Benchmark) *report.Table {
+	t := report.New("Synthetic SPECfp95 suite",
+		"benchmark", "loops", "avg ops", "recurrences", "loop-carried deps", "avg iters")
+	for _, b := range suite {
+		ops, recs, carried, iters := 0, 0, 0, 0
+		for _, l := range b.Loops {
+			ops += l.Ops()
+			recs += len(l.Graph.Recurrences())
+			carried += len(l.Graph.LoopCarried())
+			iters += l.Iters
+		}
+		n := len(b.Loops)
+		t.AddRow(b.Name, n, ops/n, recs, carried, iters/n)
 	}
 	return t
 }

@@ -252,7 +252,8 @@ func TwoCluster(buses, busLat int) Config {
 // Table1Configs returns every machine configuration the paper's
 // evaluation visits: the unified baseline plus the 2- and 4-cluster
 // machines at one and two buses, bus latencies 1 and 2.  Sweeps (the
-// differential tests, cmd/vliwsched's batch mode) iterate over it.
+// differential tests, the optimality-gap table, the service's machine
+// refs) iterate over it.
 func Table1Configs() []Config {
 	cfgs := []Config{Unified()}
 	for _, buses := range []int{1, 2} {

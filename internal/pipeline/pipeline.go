@@ -3,8 +3,8 @@
 // bounded worker pool that fans batches of compile requests out across
 // CPUs while preserving result order.
 //
-// The experiments drivers, cmd/experiments, cmd/vliwsched and the
-// scheduling service (internal/service) all funnel their compilations
+// The experiments drivers, cmd/experiments and the scheduling service
+// (internal/service) all funnel their compilations
 // through one Pipeline, so a figure or a request that revisits a
 // (loop, machine, options) combination pays for it once no matter how
 // many goroutines ask, and a batch of independent compilations uses

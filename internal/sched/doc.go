@@ -24,7 +24,7 @@
 //     transfer start is a rotate-and-TrailingZeros scan (busScan)
 //     instead of a per-slot probing loop.  Giant IIs fall back to a
 //     multi-word path that the differential tests drive against a
-//     per-slot scalar oracle (mrt_scalar.go).
+//     per-slot scalar oracle (mrt_scalar_test.go).
 //
 //   - All per-attempt state lives in flat arenas sized once per
 //     ScheduleGraph call and recycled across the II search via

@@ -18,7 +18,7 @@ import (
 // Units of a class can number more than one per cluster, so the FU rows
 // pair the bitset (bit set = slot full) with a per-slot counter that
 // decides when the bit flips; buses have capacity one and need only the
-// bitset.  scalarMRT (mrt_scalar.go) is the per-slot reference
+// bitset.  scalarMRT (mrt_scalar_test.go) is the per-slot reference
 // implementation the differential tests compare against.
 //
 // The table is reusable across the II search: reset resizes the rows in

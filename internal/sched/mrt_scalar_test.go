@@ -5,9 +5,9 @@ import "repro/internal/machine"
 // scalarMRT is the per-slot reference implementation of the modulo
 // reservation table: plain counters and booleans, one entry per kernel
 // slot, scanned cycle by cycle.  It is the implementation the packed
-// bitset mrt replaced and is retained as the oracle for the
-// differential tests (mrt_test.go): both tables are driven with the
-// same reserve/release sequence and must agree on every free-slot
+// bitset mrt replaced and is retained, test-only, as the oracle for
+// the differential tests (mrt_differential_test.go): both tables are
+// driven with the same reserve/release sequence and must agree on every free-slot
 // query, including the BusLatency == II wrap boundary.
 type scalarMRT struct {
 	ii  int

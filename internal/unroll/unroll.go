@@ -130,25 +130,4 @@ func SelectiveFunc(g *ddg.Graph, cfg *machine.Config, schedule ScheduleFunc) (*R
 	return &Result{Schedule: s2, Decision: dec}, nil
 }
 
-// All unconditionally unrolls by the given factor and schedules the
-// result — the "Unrolling" bars of Figure 8.  factor 1 schedules the
-// original loop.
-func All(g *ddg.Graph, cfg *machine.Config, factor int, opts *sched.Options) (*Result, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("unroll: factor %d < 1", factor)
-	}
-	ug := g
-	if factor > 1 {
-		ug = g.Unroll(factor)
-	}
-	s, err := sched.ScheduleGraph(ug, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Schedule: s,
-		Decision: Decision{Unrolled: factor > 1, Factor: factor, BusLimited: s.BusLimited},
-	}, nil
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -102,38 +102,6 @@ func TestSelectiveEstimateMatchesPaperExample(t *testing.T) {
 	}
 }
 
-func TestAllFactorOne(t *testing.T) {
-	cfg := machine.TwoCluster(1, 1)
-	res, err := All(ddg.SampleStencil(), &cfg, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decision.Unrolled || res.Schedule.Graph.UnrollFactor != 1 {
-		t.Errorf("factor 1 unrolled the graph")
-	}
-}
-
-func TestAllSchedulesUnrolledGraph(t *testing.T) {
-	cfg := machine.FourCluster(2, 1)
-	res, err := All(ddg.SampleStencil(), &cfg, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule.Graph.UnrollFactor != 4 {
-		t.Errorf("scheduled graph unroll factor = %d, want 4", res.Schedule.Graph.UnrollFactor)
-	}
-	if err := sched.Validate(res.Schedule); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestAllRejectsBadFactor(t *testing.T) {
-	cfg := machine.TwoCluster(1, 1)
-	if _, err := All(ddg.SampleStencil(), &cfg, 0, nil); err == nil {
-		t.Error("factor 0 accepted")
-	}
-}
-
 func TestDecisionString(t *testing.T) {
 	cases := []Decision{
 		{BusLimited: false, Factor: 1},
