@@ -13,8 +13,8 @@
 //
 // POST /v1/batch takes {"v":1,"requests":[...]} and streams NDJSON, one
 // result line per request as each compilation completes.  SIGINT/SIGTERM
-// drain gracefully: the listener closes, in-flight requests finish
-// (bounded by -grace), then the final pipeline stats go to stderr.
+// drain gracefully: /readyz flips to 503, in-flight requests get up to
+// 30s to finish, then the final pipeline stats go to stderr.
 package main
 
 import (
@@ -23,15 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -45,26 +39,16 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "compile workers (0 = GOMAXPROCS)")
 		cacheBytes = flag.Int64("cache-bytes", 64<<20, "compile cache byte budget (0 = unbounded)")
-		inflight   = flag.Int("inflight", 0, "max concurrently admitted compiles (0 = 2x workers)")
-		queue      = flag.Int("queue", 64, "admission queue depth before 429s")
-		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request compile deadline")
-		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "upper clamp on client timeout_ms")
-		maxBody    = flag.Int64("max-body", 8<<20, "request body size cap in bytes")
-		grace      = flag.Duration("grace", 30*time.Second, "shutdown drain budget")
-		faultSpec  = flag.String("faults", os.Getenv("SCHEDD_FAULTS"),
-			"chaos-mode fault spec, e.g. seed=1,panic=0.05,latency=0.2:10ms (never in production; also via SCHEDD_FAULTS)")
+		faultSpec  = flag.String("faults", "",
+			"chaos-mode fault spec, e.g. seed=1,panic=0.05,latency=0.2:10ms (never in production)")
 		peers = flag.String("peers", "",
 			"comma-separated peer base URLs for cache federation (cluster mode); misses ask the ring-preferred peer before compiling")
-		peerSelf    = flag.String("peer-self", "", "this daemon's own URL within -peers (excluded from lookups)")
-		peerTimeout = flag.Duration("peer-timeout", cluster.DefaultPeerTimeout, "budget for one peer cache lookup")
-		snapshot    = flag.String("snapshot", "",
+		peerSelf = flag.String("peer-self", "", "this daemon's own URL within -peers (excluded from lookups)")
+		snapshot = flag.String("snapshot", "",
 			"cache snapshot path: warm-start from it at boot (if present), write it back after drain")
 		prefill = flag.String("prefill", "",
-			"corpus NDJSON (cmd/loadgen gen) to precompile into the cache at boot")
-		prefillMachines = flag.String("prefill-machines", "4-cluster/B1/L1",
-			"comma-separated machine_ref names -prefill compiles against")
+			"corpus NDJSON (cmd/loadgen gen) to precompile for machine_ref "+prefillMachine+" at boot")
 	)
 	flag.Parse()
 
@@ -76,29 +60,16 @@ func main() {
 		}
 	}
 
-	srv := service.New(service.Config{
-		Workers:        *workers,
-		CacheBytes:     *cacheBytes,
-		MaxInflight:    *inflight,
-		QueueDepth:     *queue,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		MaxBodyBytes:   *maxBody,
-		Faults:         injector,
-	})
+	srv := service.New(service.Config{CacheBytes: *cacheBytes, Faults: injector})
 
 	if *peers != "" {
-		pl, err := cluster.NewPeerLookup(cluster.PeerConfig{
-			Self:    *peerSelf,
-			Peers:   strings.Split(*peers, ","),
-			Timeout: *peerTimeout,
-		})
+		pl, err := cluster.NewPeerLookup(cluster.PeerConfig{Self: *peerSelf, Peers: strings.Split(*peers, ",")})
 		if err != nil {
 			log.Fatalf("schedd: -peers: %v", err)
 		}
 		if pl != nil {
 			srv.Pipeline().SetPeerLookup(pl.Func())
-			log.Printf("schedd: federating cache misses across peers %s (budget %v)", *peers, *peerTimeout)
+			log.Printf("schedd: federating cache misses across peers %s", *peers)
 		}
 	}
 	if *snapshot != "" {
@@ -109,47 +80,19 @@ func main() {
 		}
 	}
 	if *prefill != "" {
-		n, total, err := prefillCache(srv, *prefill, *prefillMachines)
+		n, total, err := prefillCache(srv.Pipeline(), *prefill)
 		if err != nil {
 			log.Fatalf("schedd: -prefill %s: %v", *prefill, err)
 		}
 		log.Printf("schedd: prefilled %d/%d corpus compiles from %s", n, total, *prefill)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("schedd: listening on %s (%d workers, %s cache)",
-		*addr, srv.Pipeline().Workers(), byteCount(*cacheBytes))
+	log.Printf("schedd: %d workers, %s cache", srv.Pipeline().Workers(), byteCount(*cacheBytes))
 	if injector != nil {
 		log.Printf("schedd: CHAOS MODE: injecting %v (%s)", injector.Faults(), injector)
 	}
-
-	select {
-	case err := <-errc:
+	if err := service.Serve(context.Background(), "schedd", *addr, srv.Handler(), srv.BeginDrain); err != nil {
 		log.Fatalf("schedd: %v", err)
-	case <-ctx.Done():
-	}
-
-	// Flip readiness first so load balancers stop routing here and new
-	// compile work is refused, then let in-flight requests finish.
-	srv.BeginDrain()
-	log.Printf("schedd: draining (up to %v)", *grace)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		log.Printf("schedd: drain incomplete: %v", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("schedd: %v", err)
 	}
 	if *snapshot != "" {
 		if n, err := saveSnapshot(srv, *snapshot); err != nil {
@@ -200,11 +143,13 @@ func saveSnapshot(srv *service.Server, path string) (int, error) {
 	return n, nil
 }
 
-// prefillCache compiles a corpus against the named machines so the
-// cache is hot before the first request.  Individual unschedulable
-// loops are skipped, not fatal; the pipeline's worker count bounds the
-// concurrency.
-func prefillCache(srv *service.Server, corpusPath, machineRefs string) (ok, total int, err error) {
+// prefillMachine is the machine_ref -prefill compiles against.
+const prefillMachine = "4-cluster/B1/L1"
+
+// prefillCache compiles a corpus against prefillMachine so the cache
+// is hot before the first request.  Individual unschedulable loops are
+// skipped, not fatal.
+func prefillCache(pipe *pipeline.Pipeline, corpusPath string) (ok, total int, err error) {
 	f, err := os.Open(corpusPath)
 	if err != nil {
 		return 0, 0, err
@@ -214,44 +159,20 @@ func prefillCache(srv *service.Server, corpusPath, machineRefs string) (ok, tota
 	if err != nil {
 		return 0, 0, err
 	}
-	table := map[string]machine.Config{}
-	for _, c := range machine.Table1Configs() {
-		table[c.Name] = c
+	cfg, found := machine.ConfigByName(prefillMachine)
+	if !found {
+		return 0, 0, fmt.Errorf("unknown machine_ref %q", prefillMachine)
 	}
-	var cfgs []machine.Config
-	for _, ref := range strings.Split(machineRefs, ",") {
-		ref = strings.TrimSpace(ref)
-		cfg, found := table[ref]
-		if !found {
-			return 0, 0, fmt.Errorf("unknown machine_ref %q", ref)
-		}
-		cfgs = append(cfgs, cfg)
+	reqs := make([]pipeline.Request, len(loops))
+	for i, l := range loops {
+		reqs[i] = pipeline.Request{Loop: l, Cfg: cfg}
 	}
-
-	pipe := srv.Pipeline()
-	total = len(loops) * len(cfgs)
-	var compiled atomic.Int64
-	var wg sync.WaitGroup
-	work := make(chan pipeline.Request)
-	for w := 0; w < pipe.Workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for req := range work {
-				if _, err := pipe.Compile(req); err == nil {
-					compiled.Add(1)
-				}
-			}
-		}()
-	}
-	for _, cfg := range cfgs {
-		for _, l := range loops {
-			work <- pipeline.Request{Loop: l, Cfg: cfg}
+	for _, r := range pipe.CompileBatch(reqs) {
+		if r.Err == nil {
+			ok++
 		}
 	}
-	close(work)
-	wg.Wait()
-	return int(compiled.Load()), total, nil
+	return ok, len(reqs), nil
 }
 
 // byteCount renders a byte budget for the startup log.

@@ -42,8 +42,11 @@
 // wire format of internal/wire (loops as full dependence graphs or
 // corpus references, Table 1 machine references or inline
 // configurations, options by stable name).  The service layer adds a
-// byte-bounded LRU over the compile cache, per-request deadlines,
-// admission control with bounded queueing, and graceful drain; cache
+// byte-bounded LRU over the compile cache, per-request deadlines (30s
+// unless timeout_ms asks otherwise, capped at 2m), admission control
+// with bounded queueing (2 x GOMAXPROCS in flight, 64 queued), and a
+// graceful drain bounded at 30s; these limits are constants, and the
+// only size schedd takes as a flag is -cache-bytes.  Cache
 // keys are content fingerprints (ddg.Graph.Fingerprint), so identical
 // loops deduplicate across requests.  Golden fixtures under
 // internal/wire/testdata pin the wire format byte for byte.

@@ -161,7 +161,7 @@ func newCluster(t *testing.T) *clusterUnderTest {
 		c.tss = append(c.tss, ts)
 		reps = append(reps, Replica{Name: fmt.Sprintf("s%d", i+1), URL: ts.URL})
 	}
-	rt, err := NewRouter(RouterConfig{Replicas: reps, Attempts: 4})
+	rt, err := NewRouter(RouterConfig{Replicas: reps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultPeerTimeout bounds one peer-cache lookup.  Every waiter of
-// the missing entry is blocked behind the lookup, so it must stay an
-// order of magnitude under a compile, not under a timeout-budget.
-const DefaultPeerTimeout = 250 * time.Millisecond
+// peerTimeout bounds one peer-cache lookup.  Every waiter of the
+// missing entry is blocked behind the lookup, so it must stay an order
+// of magnitude under a compile, not under a timeout-budget.
+const peerTimeout = 250 * time.Millisecond
 
 // PeerConfig configures a daemon's view of its cluster peers.
 type PeerConfig struct {
@@ -31,21 +31,12 @@ type PeerConfig struct {
 	// Peers are the other replicas' base URLs (e.g.
 	// "http://127.0.0.1:8181").  Order does not matter; the ring does.
 	Peers []string
-	// Timeout bounds one lookup; <= 0 means DefaultPeerTimeout.
-	Timeout time.Duration
-	// VNodes is the ring's per-member virtual-node count; <= 0 means
-	// DefaultVNodes.  Must match the router's setting.
-	VNodes int
-	// HTTP overrides the transport; nil means http.DefaultClient.
-	HTTP *http.Client
 }
 
 // PeerLookup resolves cache misses against cluster peers.  It
 // implements pipeline.PeerLookupFunc via Lookup.
 type PeerLookup struct {
-	ring    *Ring
-	timeout time.Duration
-	http    *http.Client
+	ring *Ring
 }
 
 // NewPeerLookup builds the federation hook, or nil (no error) when the
@@ -61,18 +52,11 @@ func NewPeerLookup(cfg PeerConfig) (*PeerLookup, error) {
 	if len(others) == 0 {
 		return nil, nil
 	}
-	ring, err := NewRing(others, cfg.VNodes)
+	ring, err := NewRing(others)
 	if err != nil {
 		return nil, err
 	}
-	pl := &PeerLookup{ring: ring, timeout: cfg.Timeout, http: cfg.HTTP}
-	if pl.timeout <= 0 {
-		pl.timeout = DefaultPeerTimeout
-	}
-	if pl.http == nil {
-		pl.http = http.DefaultClient
-	}
-	return pl, nil
+	return &PeerLookup{ring: ring}, nil
 }
 
 // Func returns the hook in the pipeline's shape; nil receiver, nil
@@ -91,9 +75,9 @@ func (pl *PeerLookup) Func() pipeline.PeerLookupFunc {
 // simply reports false — the caller compiles.
 func (pl *PeerLookup) Lookup(key string) (*core.Result, bool) {
 	peer := pl.ring.Owner(pipeline.KeyFingerprint(key))
-	ctx, cancel := context.WithTimeout(context.Background(), pl.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
-	e, err := FetchCacheEntry(ctx, pl.http, peer, key)
+	e, err := FetchCacheEntry(ctx, http.DefaultClient, peer, key)
 	if err != nil {
 		return nil, false
 	}

@@ -22,11 +22,16 @@
 //     before paying for a compile; peers answer from cache only, so
 //     lookups never cascade.
 //
-// The routing identity is the pipeline cache key's fingerprint prefix
-// (pipeline.KeyFingerprint): ddg.Graph.Fingerprint for inline loops, a
-// "ref:" pseudo-fingerprint for loop_ref requests.  Router and daemons
-// hash the same strings over the same ring construction, so the
-// replica the router prefers is the replica whose peers consult it.
+// Router and peers build the same ring (256 virtual nodes a member) but
+// over different strings.  The router's members are replica names and
+// its keys RoutingKey: the graph fingerprint for an inline loop,
+// "ref:<loop_ref>" otherwise.  A daemon's members are its peers' URLs
+// and its keys the fingerprint prefix of the pipeline cache key
+// (pipeline.KeyFingerprint), which is always the graph fingerprint.
+// So the replica the router prefers is the one its peers consult only
+// for inline loops, and only when each replica's name equals its URL;
+// otherwise a peer lookup may ask a replica that never compiled the
+// key, which costs a miss, never a wrong result.
 package cluster
 
 import (
@@ -35,11 +40,11 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the per-member virtual-node count: enough that
+// vnodesPerMember is the per-member virtual-node count: enough that
 // 3-node rings split the keyspace within a few percent of evenly
 // (share variation shrinks as 1/sqrt(vnodes)), cheap enough that ring
 // construction stays well under a millisecond.
-const DefaultVNodes = 256
+const vnodesPerMember = 256
 
 // Ring is an immutable consistent-hash ring.  Build a new one on
 // membership change — construction is cheap and an immutable ring
@@ -74,19 +79,16 @@ func hash64(s string) uint64 {
 
 // NewRing builds a ring over the given members (replica names or URLs
 // — any stable spelling, as long as every process uses the same one).
-// vnodesPer <= 0 means DefaultVNodes.  Duplicate or empty members are
-// rejected: a duplicate would silently double that member's share.
-func NewRing(members []string, vnodesPer int) (*Ring, error) {
+// Duplicate or empty members are rejected: a duplicate would silently
+// double that member's share.
+func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodesPer <= 0 {
-		vnodesPer = DefaultVNodes
 	}
 	seen := make(map[string]bool, len(members))
 	r := &Ring{
 		members: append([]string(nil), members...),
-		vnodes:  make([]vnode, 0, len(members)*vnodesPer),
+		vnodes:  make([]vnode, 0, len(members)*vnodesPerMember),
 	}
 	for i, m := range members {
 		if m == "" {
@@ -96,7 +98,7 @@ func NewRing(members []string, vnodesPer int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate ring member %q", m)
 		}
 		seen[m] = true
-		for v := 0; v < vnodesPer; v++ {
+		for v := 0; v < vnodesPerMember; v++ {
 			r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s#%d", m, v)), member: i})
 		}
 	}

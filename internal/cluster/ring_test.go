@@ -17,7 +17,7 @@ func keys(n int) []string {
 // within ±25% of an even split over a realistic keyspace.
 func TestRingDistribution(t *testing.T) {
 	members := []string{"a", "b", "c"}
-	r, err := NewRing(members, 0)
+	r, err := NewRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestRingDistribution(t *testing.T) {
 // member's keys.
 func TestRingRebalance(t *testing.T) {
 	ks := keys(30000)
-	three, err := NewRing([]string{"a", "b", "c"}, 0)
+	three, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := NewRing([]string{"a", "b", "c", "d"}, 0)
+	four, err := NewRing([]string{"a", "b", "c", "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRingRebalance(t *testing.T) {
 		t.Errorf("join moved %d keys between surviving members; joins must only move keys to the newcomer", movedElsewhere)
 	}
 
-	two, err := NewRing([]string{"a", "b"}, 0)
+	two, err := NewRing([]string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRingRebalance(t *testing.T) {
 // rehashing moved the keyspace.
 func TestRingPreferIsRehashOrder(t *testing.T) {
 	members := []string{"a", "b", "c", "d"}
-	r, err := NewRing(members, 0)
+	r, err := NewRing(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRingPreferIsRehashOrder(t *testing.T) {
 				survivors = append(survivors, m)
 			}
 		}
-		without, err := NewRing(survivors, 0)
+		without, err := NewRing(survivors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestRingPreferIsRehashOrder(t *testing.T) {
 // TestRingRejectsBadMembership pins the constructor's validation.
 func TestRingRejectsBadMembership(t *testing.T) {
 	for _, members := range [][]string{nil, {"a", ""}, {"a", "b", "a"}} {
-		if _, err := NewRing(members, 0); err == nil {
+		if _, err := NewRing(members); err == nil {
 			t.Errorf("NewRing(%v) accepted invalid membership", members)
 		}
 	}
@@ -139,8 +139,8 @@ func TestRingRejectsBadMembership(t *testing.T) {
 // built rings agree on every owner — the property router and daemons
 // rely on to agree without coordination.
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
-	a, _ := NewRing([]string{"x", "y", "z"}, 64)
-	b, _ := NewRing([]string{"x", "y", "z"}, 64)
+	a, _ := NewRing([]string{"x", "y", "z"})
+	b, _ := NewRing([]string{"x", "y", "z"})
 	for _, k := range keys(5000) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("rings disagree on %q: %s vs %s", k, a.Owner(k), b.Owner(k))

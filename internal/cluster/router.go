@@ -32,29 +32,22 @@ type Replica struct {
 	URL string
 }
 
-// RouterConfig configures a Router.
+// RouterConfig configures a Router.  Compile and batch exchanges use
+// internal/client's defaults (4 attempts, 100ms..5s backoff, no
+// hedging).
 type RouterConfig struct {
 	Replicas []Replica
-	// VNodes is the ring's per-member virtual-node count; <= 0 means
-	// DefaultVNodes.
-	VNodes int
-	// Attempts / BackoffBase / BackoffMax / Hedge tune the embedded
-	// internal/client used for compile and batch exchanges; zero values
-	// take the client's defaults (4 attempts, 100ms..5s backoff, no
-	// hedging).
-	Attempts    int
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	Hedge       time.Duration
-	// ProbeTimeout bounds one replica health/capability probe; <= 0
-	// means 2s.
-	ProbeTimeout time.Duration
-	// MaxBodyBytes bounds a request body; <= 0 means 64 MiB (batches
-	// are large).
-	MaxBodyBytes int64
 	// HTTP overrides the transport; nil means http.DefaultClient.
 	HTTP *http.Client
 }
+
+const (
+	// probeTimeout bounds one replica health/capability probe, and one
+	// replica's share of an aggregated /v1/stats.
+	probeTimeout = 2 * time.Second
+	// maxBodyBytes bounds a request body; batches are large.
+	maxBodyBytes = 64 << 20
+)
 
 // replicaState is one backend's live view: reachability from the last
 // probe and its advertised capabilities, plus a single-attempt client
@@ -77,7 +70,6 @@ type replicaState struct {
 // (ask a replica directly) because summing breaker states across
 // processes has no meaning.
 type Router struct {
-	cfg   RouterConfig
 	ring  *Ring
 	http  *http.Client
 	front *service.Front
@@ -105,17 +97,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		names[i] = rep.Name
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
-	}
-	rt := &Router{cfg: cfg, ring: ring, http: cfg.HTTP, byName: map[string]*replicaState{}}
+	rt := &Router{ring: ring, http: cfg.HTTP, byName: map[string]*replicaState{}}
 	if rt.http == nil {
 		rt.http = http.DefaultClient
 	}
@@ -131,7 +117,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		rt.states = append(rt.states, st)
 		rt.byName[rep.Name] = st
 	}
-	rt.front = service.NewFront(rt, cfg.MaxBodyBytes)
+	rt.front = service.NewFront(rt, maxBodyBytes)
 	return rt, nil
 }
 
@@ -147,7 +133,7 @@ func (rt *Router) Probe(ctx context.Context) int {
 		wg.Add(1)
 		go func(st *replicaState) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			alive := rt.probeReady(pctx, st.url)
 			st.alive.Store(alive)
@@ -262,14 +248,7 @@ func (rt *Router) clientFor(urls []string) (*client.Client, error) {
 	if c, ok := rt.clients.Load(key); ok {
 		return c.(*client.Client), nil
 	}
-	c, err := client.New(client.Config{
-		Endpoints:   append([]string(nil), urls...),
-		HTTP:        rt.http,
-		Attempts:    rt.cfg.Attempts,
-		BackoffBase: rt.cfg.BackoffBase,
-		BackoffMax:  rt.cfg.BackoffMax,
-		Hedge:       rt.cfg.Hedge,
-	})
+	c, err := client.New(client.Config{Endpoints: append([]string(nil), urls...), HTTP: rt.http})
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +368,7 @@ func (rt *Router) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			if sr, err := st.cl.Stats(pctx); err == nil {
 				results <- sr

@@ -107,7 +107,7 @@ func TestRouterDeadlineNotRetried(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	rt, err := NewRouter(RouterConfig{Replicas: []Replica{{Name: "slow", URL: ts.URL}}, Attempts: 4})
+	rt, err := NewRouter(RouterConfig{Replicas: []Replica{{Name: "slow", URL: ts.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,31 +2,22 @@ package ddg
 
 import "sort"
 
-// SCC is one strongly connected component of the graph (all edge
-// distances considered).  An SCC with more than one node, or a single
-// node with a self-edge, is a recurrence: it constrains the II.
+// SCC is one recurrence of the graph: a strongly connected component
+// (all edge distances considered) with more than one node, or a single
+// node with a self-edge.  It constrains the II.
 type SCC struct {
 	// Nodes lists the member node IDs in ascending order.
 	Nodes []int
-	// Recurrence reports whether the component constrains the II.
-	Recurrence bool
-	// RecMII is the minimum II imposed by this component's cycles
-	// (0 for non-recurrences).
+	// RecMII is the minimum II imposed by this component's cycles.
 	RecMII int
 }
 
-// SCCs computes the strongly connected components with Tarjan's
-// algorithm (iterative, so deep graphs cannot overflow the goroutine
-// stack) and each recurrence's RecMII.  Components are returned in
-// reverse topological discovery order; callers needing the paper's
-// priority order should sort by RecMII descending.
-func (g *Graph) SCCs() []*SCC { return g.tarjan(true) }
-
-// tarjan runs the SCC decomposition; with all == false only recurrence
-// components (multi-node, or single node with a self-edge) are
-// materialised, which keeps hot callers like Recurrences from
-// allocating one SCC per trivial singleton.
-func (g *Graph) tarjan(all bool) []*SCC {
+// tarjan computes the recurrence components (multi-node, or a single
+// node with a self-edge) and each one's RecMII with Tarjan's algorithm,
+// iterative so deep graphs cannot overflow the goroutine stack.  Trivial
+// singletons are never materialised.  Components come out in reverse
+// topological discovery order.
+func (g *Graph) tarjan() []*SCC {
 	n := len(g.nodes)
 	index := make([]int, n)
 	low := make([]int, n)
@@ -92,7 +83,7 @@ func (g *Graph) tarjan(all bool) []*SCC {
 				}
 				popped := stack[base:top]
 				stack = stack[:base]
-				if all || g.isRecurrence(popped) {
+				if g.isRecurrence(popped) {
 					members := append([]int(nil), popped...)
 					sort.Ints(members)
 					comps = append(comps, &SCC{Nodes: members})
@@ -102,10 +93,7 @@ func (g *Graph) tarjan(all bool) []*SCC {
 	}
 
 	for _, c := range comps {
-		c.Recurrence = g.isRecurrence(c.Nodes)
-		if c.Recurrence {
-			c.RecMII = g.recMIIOfSubgraph(c.Nodes)
-		}
+		c.RecMII = g.recMIIOfSubgraph(c.Nodes)
 	}
 	return comps
 }
@@ -130,7 +118,7 @@ func (g *Graph) isRecurrence(nodes []int) bool {
 // member ID for determinism.  Trivial singleton components are never
 // materialised.
 func (g *Graph) Recurrences() []*SCC {
-	recs := g.tarjan(false)
+	recs := g.tarjan()
 	sort.SliceStable(recs, func(i, j int) bool {
 		if recs[i].RecMII != recs[j].RecMII {
 			return recs[i].RecMII > recs[j].RecMII

@@ -12,8 +12,8 @@
 // churn fire around real compilations), and Middleware decorates the
 // HTTP handler (latency and request-context cancel storms fire around
 // whole requests).  Production binaries never construct an Injector;
-// schedd only builds one when the -faults flag (or SCHEDD_FAULTS) is
-// set, and chaos tests construct theirs directly.
+// schedd only builds one when the -faults flag is set, and chaos tests
+// construct theirs directly.
 //
 // Determinism: every decision is a pure function of (seed, fault site,
 // subject key, per-subject attempt counter) via FNV-1a — no shared

@@ -198,10 +198,6 @@ func sequentialBound(g *ddg.Graph, cfg *machine.Config) int {
 	return sum + 8
 }
 
-// debugSched enables failure dumps during development.
-var debugSched = false
-
-// candidate is one feasible (cluster, cycle, comm-plan) choice for a node.
 // candidate is one feasible (cluster → placement) option for the node
 // currently being scheduled.  The placement itself lives in the state's
 // per-cluster tryRes slot — keeping the struct two words makes the
@@ -250,17 +246,6 @@ func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 		}
 		st.candBuf = cands[:0]
 		if len(cands) == 0 {
-			if debugSched {
-				w := st.windowOf(n)
-				fmt.Printf("DBG fail node %d (II=%d): window E=%d(%v,a%v) L=%d(%v,a%v) ncands=%d live=%v fits=%v\n",
-					n, st.ii, w.early, w.hasEarly, w.anchoredEarly, w.late, w.hasLate, w.anchoredLate,
-					len(st.candidateCycles(w, nil)), st.maxLiveAll(), st.fits())
-				for id := 0; id < st.g.NumNodes(); id++ {
-					if st.placed(id) {
-						fmt.Printf("  placed %d @ t=%d c=%d\n", id, st.time[id], st.cluster[id])
-					}
-				}
-			}
 			return worst, n
 		}
 
@@ -285,14 +270,7 @@ func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 		default:
 			chosen = chooseByProfit(st, n, preferHeadroom(st, cands), defCluster)
 		}
-		res := &st.tryRes[chosen.cluster]
-		if debugSched {
-			w := st.windowOf(n)
-			fmt.Printf("DBG place node %d II=%d: E=%d(%v,a%v) L=%d(%v,a%v) -> c%d t=%d plan=%d\n",
-				n, st.ii, w.early, w.hasEarly, w.anchoredEarly, w.late, w.hasLate, w.anchoredLate,
-				chosen.cluster, res.cycle, len(res.plan))
-		}
-		st.commit(n, chosen.cluster, *res)
+		st.commit(n, chosen.cluster, st.tryRes[chosen.cluster])
 	}
 	return CauseNone, -1
 }
@@ -485,6 +463,3 @@ func (f *fuSorter) Less(a, b int) bool {
 	}
 	return i < j
 }
-
-// DebugSched toggles verbose failure dumps (development aid).
-func DebugSched(on bool) { debugSched = on }

@@ -1005,15 +1005,6 @@ func (st *state) fits() bool {
 	return true
 }
 
-// maxLiveAll snapshots each cluster's current MaxLive (diagnostics).
-func (st *state) maxLiveAll() []int {
-	out := make([]int, st.cfg.NClusters)
-	for c := range out {
-		out[c] = st.press[c].Max()
-	}
-	return out
-}
-
 // shadowOf returns cluster x's speculation shadow, snapshotting the
 // live table on the cluster's first touch in this speculation.
 //

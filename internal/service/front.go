@@ -37,10 +37,10 @@ type Backend interface {
 
 const (
 	// A request without timeout_ms gets defaultTimeout, a client
-	// override is clamped to defaultMaxTimeout, and a body over
+	// override is clamped to maxTimeout, and a body over
 	// defaultMaxBodyBytes is turned away with 413.
 	defaultTimeout      = 30 * time.Second
-	defaultMaxTimeout   = 2 * time.Minute
+	maxTimeout          = 2 * time.Minute
 	defaultMaxBodyBytes = 8 << 20
 	// drainRetryHint is the Retry-After a draining front end sends: a
 	// restart or a rebalance is seconds away, not minutes.
@@ -55,21 +55,20 @@ const (
 // NDJSON batch stream, wire errors with Retry-After, and the request
 // counters and latency histogram.
 type Front struct {
-	b                   Backend
-	maxBody             int64
-	timeout, maxTimeout time.Duration
+	b       Backend
+	maxBody int64
 
 	draining atomic.Bool
 	m        frontMetrics
 }
 
-// NewFront puts b behind the shared front end with the default request
-// timeouts; maxBodyBytes <= 0 means 8 MiB.
+// NewFront puts b behind the shared front end; maxBodyBytes <= 0 means
+// 8 MiB.
 func NewFront(b Backend, maxBodyBytes int64) *Front {
 	if maxBodyBytes <= 0 {
 		maxBodyBytes = defaultMaxBodyBytes
 	}
-	return &Front{b: b, maxBody: maxBodyBytes, timeout: defaultTimeout, maxTimeout: defaultMaxTimeout}
+	return &Front{b: b, maxBody: maxBodyBytes}
 }
 
 // BeginDrain flips the front end into drain mode: /readyz answers 503
@@ -100,9 +99,9 @@ func (f *Front) answer(ctx context.Context, req *wire.CompileRequest) (*wire.Res
 	if werr := f.gate(req.V); werr != nil {
 		return nil, werr
 	}
-	d := f.timeout
+	d := defaultTimeout
 	if req.TimeoutMS > 0 {
-		d = min(time.Duration(req.TimeoutMS)*time.Millisecond, f.maxTimeout)
+		d = min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
 	}
 	cctx, cancel := context.WithTimeout(ctx, d)
 	defer cancel()

@@ -80,11 +80,6 @@ type Config struct {
 	// the QueueDepth+1st waiter gets 429.  < 0 means no queue (reject as
 	// soon as MaxInflight is busy); 0 means the default (64).
 	QueueDepth int
-	// DefaultTimeout bounds a request's wait on its compile when the
-	// client sends no timeout_ms; 0 means 30s.
-	DefaultTimeout time.Duration
-	// MaxTimeout clamps client-requested timeouts; 0 means 2m.
-	MaxTimeout time.Duration
 	// MaxBodyBytes caps request bodies; 0 means 8 MiB.
 	MaxBodyBytes int64
 	// Compile, when non-nil, replaces the pipeline's compile function
@@ -111,15 +106,6 @@ func (c Config) withDefaults(workers int) Config {
 		c.QueueDepth = 0
 	case c.QueueDepth == 0:
 		c.QueueDepth = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = defaultTimeout
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = defaultMaxTimeout
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	return c
 }
@@ -179,7 +165,7 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		quar:     engine.NewQuarantine(cfg.Breaker),
 	}
-	s.front = &Front{b: s, maxBody: cfg.MaxBodyBytes, timeout: cfg.DefaultTimeout, maxTimeout: cfg.MaxTimeout}
+	s.front = NewFront(s, cfg.MaxBodyBytes)
 	return s
 }
 

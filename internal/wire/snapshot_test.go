@@ -198,3 +198,52 @@ func TestKeyFingerprintMatchesGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryBytesTracksEncodedSize pins the pipeline's hand-estimated
+// cache cost against the measured size of the same entry as a snapshot
+// row: seeded alone into a fresh pipeline, every entry of corpus x
+// {unified, 4-cluster/B1/L1} x {no_unroll, selective, portfolio} must
+// cost 1.25-2.25x its encoded bytes (about 1.5-1.8x today).  Dropping
+// a term the size of the retained graph from the estimate, or adding a
+// Result field that grows the row as much without costing it, leaves
+// the band.
+func TestEntryBytesTracksEncodedSize(t *testing.T) {
+	const lo, hi = 1.25, 2.25
+	suite := corpus.SPECfp95()
+	var reqs []pipeline.Request
+	for _, name := range []string{"unified", "4-cluster/B1/L1"} {
+		cfg, ok := machine.ConfigByName(name)
+		if !ok {
+			t.Fatalf("no machine %q", name)
+		}
+		for _, strat := range []core.Strategy{core.NoUnroll, core.SelectiveUnroll, core.Portfolio} {
+			for _, b := range suite {
+				for _, l := range b.Loops {
+					reqs = append(reqs, pipeline.Request{Loop: l, Cfg: cfg, Opts: core.Options{Strategy: strat}})
+				}
+			}
+		}
+	}
+	p := pipeline.New(0)
+	p.CompileBatch(reqs)
+	entries := p.Export()
+	if len(entries) != len(reqs) {
+		t.Fatalf("%d of %d compiles cached", len(entries), len(reqs))
+	}
+	minR, maxR := hi, lo
+	for _, e := range entries {
+		var row bytes.Buffer
+		if err := EncodeCacheEntry(&row, e); err != nil {
+			t.Fatal(err)
+		}
+		fresh := pipeline.New(1)
+		fresh.Seed(e.Key, e.Res)
+		r := float64(fresh.Stats().CachedBytes) / float64(row.Len())
+		if r < lo || r > hi {
+			t.Errorf("%s: estimated %d bytes for a %d-byte row (%.2fx, want %.2f-%.2fx)",
+				e.Key, fresh.Stats().CachedBytes, row.Len(), r, lo, hi)
+		}
+		minR, maxR = min(minR, r), max(maxR, r)
+	}
+	t.Logf("%d entries: estimate / encoded row in %.2f-%.2fx", len(entries), minR, maxR)
+}
