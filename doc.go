@@ -49,7 +49,10 @@
 // only size schedd takes as a flag is -cache-bytes.  Cache
 // keys are content fingerprints (ddg.Graph.Fingerprint), so identical
 // loops deduplicate across requests.  Golden fixtures under
-// internal/wire/testdata pin the wire format byte for byte.
+// internal/wire/testdata pin the wire format byte for byte.  Graphs,
+// compile requests and compile responses are encoded and decoded by
+// hand over internal/jsonx; differential fuzz targets hold those codecs
+// to encoding/json's bytes and accept/reject decisions.
 //
 // internal/exact is the optimality oracle: a branch-and-bound modulo
 // scheduler built on the production scheduler's own attempt state

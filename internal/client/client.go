@@ -253,8 +253,9 @@ func decodeError(r *response) error {
 	return fmt.Errorf("client: HTTP %d: %s", r.status, bytes.TrimSpace(r.body))
 }
 
-// doJSON runs the full retry loop for one JSON-in/JSON-out call.
-func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
+// doJSON runs the full retry loop for one JSON-in/JSON-out call,
+// handing the 2xx body to decode.
+func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, decode func([]byte) error) error {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
@@ -268,7 +269,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, o
 		} else if r.status/100 != 2 {
 			lastErr = decodeError(r)
 		} else {
-			return json.Unmarshal(r.body, out)
+			return decode(r.body)
 		}
 		if ctx.Err() != nil || !retryable(lastErr) {
 			return lastErr
@@ -283,21 +284,24 @@ func (c *Client) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.R
 	if req.V == 0 {
 		req.V = wire.Version
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+	body := wire.AppendCompileRequest(nil, req)
 	var resp wire.CompileResponse
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/compile", body, &resp); err != nil {
+	decode := func(b []byte) error { return wire.DecodeCompileResponse(b, &resp) }
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/compile", body, decode); err != nil {
 		return nil, err
 	}
 	return resp.Result, nil
 }
 
+// unmarshalInto is doJSON's decode for the reflective messages.
+func unmarshalInto(v any) func([]byte) error {
+	return func(b []byte) error { return json.Unmarshal(b, v) }
+}
+
 // Stats fetches /v1/stats.
 func (c *Client) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 	var resp wire.StatsResponse
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/stats", nil, &resp); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/stats", nil, unmarshalInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -306,7 +310,7 @@ func (c *Client) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 // Capabilities fetches /v1/capabilities.
 func (c *Client) Capabilities(ctx context.Context) (*wire.CapabilitiesResponse, error) {
 	var resp wire.CapabilitiesResponse
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/capabilities", nil, &resp); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/capabilities", nil, unmarshalInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -322,6 +326,15 @@ func (c *Client) Capabilities(ctx context.Context) (*wire.CapabilitiesResponse, 
 // how many rounds ran.  Items that exhaust the attempt budget settle
 // with their last error (or a synthetic one if their line was lost).
 func (c *Client) Batch(ctx context.Context, reqs []wire.CompileRequest) ([]wire.BatchItem, error) {
+	return c.BatchUntil(ctx, reqs, nil)
+}
+
+// BatchUntil is Batch with a deadline per request: an item still
+// unsettled once deadlines[i] has passed settles deadline_exceeded
+// instead of going into another round.  A deadline never cuts a round
+// short, and a zero one (or a nil slice) leaves the item to the
+// attempt budget and ctx alone.
+func (c *Client) BatchUntil(ctx context.Context, reqs []wire.CompileRequest, deadlines []time.Time) ([]wire.BatchItem, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("client: empty batch")
 	}
@@ -331,9 +344,27 @@ func (c *Client) Batch(ctx context.Context, reqs []wire.CompileRequest) ([]wire.
 	for i := range reqs {
 		pending[i] = i
 	}
+	// settleExpired settles the pending items whose deadline has
+	// passed.  It runs on both sides of each backoff, so no item waits
+	// out a backoff or goes into a round after its deadline.
+	settleExpired := func() {
+		now := time.Now()
+		live := pending[:0]
+		for _, i := range pending {
+			if deadlines != nil && !deadlines[i].IsZero() && !now.Before(deadlines[i]) {
+				out[i] = &wire.BatchItem{V: wire.Version, Error: wire.Errorf(wire.CodeDeadlineExceeded, "batch item did not settle within its deadline")}
+				continue
+			}
+			live = append(live, i)
+		}
+		pending = live
+	}
 
 	for attempt := 0; attempt < c.cfg.Attempts && len(pending) > 0; attempt++ {
 		if attempt > 0 {
+			if settleExpired(); len(pending) == 0 {
+				break
+			}
 			var hint time.Duration
 			for _, i := range pending {
 				if lastErr[i] != nil {
@@ -341,6 +372,9 @@ func (c *Client) Batch(ctx context.Context, reqs []wire.CompileRequest) ([]wire.
 				}
 			}
 			if err := sleep(ctx, c.backoff(attempt, hint)); err != nil {
+				break
+			}
+			if settleExpired(); len(pending) == 0 {
 				break
 			}
 		}
@@ -351,17 +385,15 @@ func (c *Client) Batch(ctx context.Context, reqs []wire.CompileRequest) ([]wire.
 				sub[k].V = wire.Version
 			}
 		}
-		body, err := json.Marshal(wire.BatchRequest{V: wire.Version, Requests: sub})
-		if err != nil {
-			return nil, err
-		}
+		body := wire.AppendBatchRequest(nil, &wire.BatchRequest{V: wire.Version, Requests: sub})
 		base := c.cfg.Endpoints[attempt%len(c.cfg.Endpoints)]
 		next := c.streamBatch(ctx, base, body, pending, out, lastErr)
 		pending = next
 	}
 
-	// Settle the stragglers with their last error so every index
-	// reports exactly one outcome.
+	// Settle the stragglers, past their deadline or else with their
+	// last error, so every index reports exactly one outcome.
+	settleExpired()
 	for _, i := range pending {
 		werr := lastErr[i]
 		if werr == nil {
@@ -428,7 +460,7 @@ func (c *Client) streamBatch(ctx context.Context, base string, body []byte, pend
 			continue
 		}
 		var item wire.BatchItem
-		if err := json.Unmarshal(line, &item); err != nil {
+		if err := wire.DecodeBatchItem(line, &item); err != nil {
 			break // torn line: the stream died mid-write
 		}
 		if item.Index < 0 || item.Index >= len(pending) {

@@ -219,6 +219,31 @@ func TestBatchExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestBatchUntilSettlesExpiredItems: an item that comes back transient
+// after its deadline settles deadline_exceeded instead of going into
+// the next round; an item without a deadline is retried as usual.
+func TestBatchUntilSettlesExpiredItems(t *testing.T) {
+	bs := &batchServer{failures: 1, asked: map[string]int{}}
+	srv := httptest.NewServer(http.HandlerFunc(bs.handle))
+	defer srv.Close()
+
+	reqs := []wire.CompileRequest{{V: wire.Version, LoopRef: "loop0"}, {V: wire.Version, LoopRef: "loop1"}}
+	c := newClient(t, Config{Endpoints: []string{srv.URL}, Attempts: 4})
+	items, err := c.BatchUntil(context.Background(), reqs, []time.Time{time.Now(), {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := items[0]; it.Error == nil || it.Error.Code != wire.CodeDeadlineExceeded {
+		t.Errorf("expired item settled %+v, want %s", it, wire.CodeDeadlineExceeded)
+	}
+	if it := items[1]; it.Error != nil || it.Result == nil || it.Result.Graph != "loop1" {
+		t.Errorf("item without a deadline settled %+v, want its result", it)
+	}
+	if got := bs.calls.Load(); got != 2 {
+		t.Errorf("server saw %d batch rounds, want 2", got)
+	}
+}
+
 // TestBatchSurvivesStreamCut: the first round's stream dies after a few
 // lines; the unanswered indices are retried and all settle.
 func TestBatchSurvivesStreamCut(t *testing.T) {

@@ -309,8 +309,14 @@ func (rt *Router) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.
 // group by their failover chain, each group rides one /v1/batch
 // exchange through that chain — so a replica sees the same traffic it
 // would see from a direct client — and items go out as each group
-// settles, re-anchored to the caller's indices.
+// settles, re-anchored to the caller's indices.  Each item's deadline
+// runs from its arrival here, by the rule the front end applies to a
+// single compile; it never cuts an exchange short (the replica times
+// each item from when a worker takes it up), but an item that comes
+// back transient after its deadline settles deadline_exceeded instead
+// of being re-sent.
 func (rt *Router) Batch(ctx context.Context, reqs []wire.CompileRequest, emit func(wire.BatchItem)) {
+	start := time.Now()
 	groups := map[string][]int{}
 	chains := map[string][]string{}
 	for i := range reqs {
@@ -335,13 +341,15 @@ func (rt *Router) Batch(ctx context.Context, reqs []wire.CompileRequest, emit fu
 		go func() {
 			defer wg.Done()
 			sub := make([]wire.CompileRequest, len(idxs))
+			deadlines := make([]time.Time, len(idxs))
 			for k, i := range idxs {
 				sub[k] = reqs[i]
+				deadlines[k] = start.Add(service.RequestTimeout(&reqs[i]))
 			}
 			cl, err := rt.clientFor(urls)
 			var items []wire.BatchItem
 			if err == nil {
-				items, err = cl.Batch(ctx, sub)
+				items, err = cl.BatchUntil(ctx, sub, deadlines)
 			}
 			for k, i := range idxs {
 				if err != nil {

@@ -124,6 +124,99 @@ func TestRouterDeadlineNotRetried(t *testing.T) {
 	}
 }
 
+// postBatch posts a /v1/batch envelope to base and decodes its NDJSON
+// items.
+func postBatch(t *testing.T, base, body string) []wire.BatchItem {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var items []wire.BatchItem
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var it wire.BatchItem
+		if err := json.Unmarshal(sc.Bytes(), &it); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		items = append(items, it)
+	}
+	return items
+}
+
+// TestRouterBatchDeadlineNotRetried: a batch item whose timeout_ms
+// expires on a slow replica settles deadline_exceeded through the
+// router, as the front end settles a single compile, and is never
+// re-sent.
+func TestRouterBatchDeadlineNotRetried(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	h := service.New(service.Config{Workers: 1, Compile: blockingCompile(release)}).Handler()
+	var batches atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/batch" {
+			batches.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	rt, err := NewRouter(RouterConfig{Replicas: []Replica{{Name: "slow", URL: ts.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	items := postBatch(t, front.URL, `{"v":1,"requests":[{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"4-cluster/B1/L1","timeout_ms":100}]}`)
+	if len(items) != 1 || items[0].Error == nil || items[0].Error.Code != wire.CodeDeadlineExceeded {
+		t.Errorf("batch answered %+v, want one %s item", items, wire.CodeDeadlineExceeded)
+	}
+	if n := batches.Load(); n != 1 {
+		t.Errorf("replica received %d /v1/batch requests, want exactly 1", n)
+	}
+}
+
+// TestRouterBatchItemDeadlines: a replica times each batch item from
+// when a worker takes it up, so a batch longer than any one item's
+// timeout_ms still succeeds item by item — through the router as
+// against the replica directly.
+func TestRouterBatchItemDeadlines(t *testing.T) {
+	const timeoutMS, compileMS = 300, 150 // three items: 450 ms of work
+	slowReplica := func() string {
+		slow := func(l *corpus.Loop, cfg *machine.Config, o core.Options) (*core.Result, error) {
+			time.Sleep(compileMS * time.Millisecond)
+			return core.Compile(l.Graph, cfg, &o)
+		}
+		ts := httptest.NewServer(service.New(service.Config{Workers: 1, Compile: slow}).Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	rt, err := NewRouter(RouterConfig{Replicas: []Replica{{Name: "slow", URL: slowReplica()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	var reqs []string
+	for _, ref := range []string{"tomcatv.loop0", "tomcatv.loop1", "swim.loop0"} {
+		reqs = append(reqs, fmt.Sprintf(`{"v":1,"loop_ref":%q,"machine_ref":"4-cluster/B1/L1","timeout_ms":%d}`, ref, timeoutMS))
+	}
+	body := fmt.Sprintf(`{"v":1,"requests":[%s]}`, strings.Join(reqs, ","))
+	for _, via := range []struct{ name, url string }{{"schedd", slowReplica()}, {"router", front.URL}} {
+		items := postBatch(t, via.url, body)
+		if len(items) != len(reqs) {
+			t.Fatalf("%s answered %d items, want %d", via.name, len(items), len(reqs))
+		}
+		for _, it := range items {
+			if it.Error != nil {
+				t.Errorf("%s: item %d failed: %s", via.name, it.Index, it.Error)
+			}
+		}
+	}
+}
+
 // TestRouterErrorParity: the same bad inputs get the same status, wire
 // error code and Retry-After presence from a router as from schedd.
 func TestRouterErrorParity(t *testing.T) {

@@ -6,17 +6,33 @@
 // (internal/wire.Version); within a version it only grows
 // backward-compatibly.  Node IDs are implicit: nodes[i] has ID i, and
 // edges reference those indices.
+//
+// The codec is written by hand over internal/jsonx; it runs on every
+// compile request, where encoding/json's reflection cost more than the
+// cache hit it leads to.  It keeps encoding/json's observable
+// behaviour, which the differential fuzz target FuzzDecodeCompileRequest
+// (internal/wire) checks against the reflective codec it replaced:
+//
+//   - MarshalJSON writes exactly what json.Marshal writes for the
+//     graphJSON DTO, HTML escaping included.
+//   - UnmarshalJSON is strict: an unknown field in the graph, a node or
+//     an edge is an error, never a silently zeroed latency.
+//   - Keys match case-insensitively (bytes.EqualFold).  When a key
+//     repeats, the last value wins, and a repeated array decodes over
+//     the earlier one's elements without zeroing them.
+//   - null leaves a scalar unchanged and sets orig or an array to nil.
+//   - An int field rejects a fraction, an exponent or a string.
 
 package ddg
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"slices"
 
+	"repro/internal/jsonx"
 	"repro/internal/machine"
 )
 
@@ -45,6 +61,66 @@ type edgeJSON struct {
 	Kind     string `json:"kind"`
 }
 
+// The json names of each DTO's fields, for jsonx.Match.
+var (
+	graphFields = []string{"name", "unroll_factor", "nodes", "edges"}
+	nodeFields  = []string{"name", "op", "orig", "copy"}
+	edgeFields  = []string{"from", "to", "latency", "distance", "kind"}
+)
+
+func (in *graphJSON) decode(d *jsonx.Decoder) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, graphFields) {
+		case "name":
+			d.String(&in.Name)
+		case "unroll_factor":
+			d.Int(&in.UnrollFactor)
+		case "nodes":
+			jsonx.Slice(d, &in.Nodes, decodeNode)
+		case "edges":
+			jsonx.Slice(d, &in.Edges, decodeEdge)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+func decodeNode(d *jsonx.Decoder, n *nodeJSON) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, nodeFields) {
+		case "name":
+			d.String(&n.Name)
+		case "op":
+			d.String(&n.Op)
+		case "orig":
+			jsonx.Ptr(d, &n.Orig, (*jsonx.Decoder).Int)
+		case "copy":
+			d.Int(&n.Copy)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+func decodeEdge(d *jsonx.Decoder, e *edgeJSON) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, edgeFields) {
+		case "from":
+			d.Int(&e.From)
+		case "to":
+			d.Int(&e.To)
+		case "latency":
+			d.Int(&e.Latency)
+		case "distance":
+			d.Int(&e.Distance)
+		case "kind":
+			d.String(&e.Kind)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
 // edgeKindNames maps the wire names; the zero kind is "true".
 var edgeKindNames = map[string]EdgeKind{
 	"true":   DepTrue,
@@ -62,39 +138,77 @@ func EdgeKindByName(name string) (EdgeKind, bool) {
 
 // MarshalJSON encodes the graph in the service wire shape.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	out := graphJSON{Name: g.Name, Nodes: []nodeJSON{}, Edges: []edgeJSON{}}
-	if g.UnrollFactor != 1 {
-		out.UnrollFactor = g.UnrollFactor
-	}
-	for _, n := range g.nodes {
-		nj := nodeJSON{Name: n.Name, Op: n.Class.String(), Copy: n.Copy}
-		if n.Orig != n.ID {
-			orig := n.Orig
-			nj.Orig = &orig
-		}
-		out.Nodes = append(out.Nodes, nj)
-	}
-	for _, e := range g.edges {
-		out.Edges = append(out.Edges, edgeJSON{
-			From: e.From, To: e.To, Latency: e.Latency,
-			Distance: e.Distance, Kind: e.Kind.String(),
-		})
-	}
-	return json.Marshal(out)
+	return g.AppendJSON(nil), nil
 }
 
-// UnmarshalJSON decodes a graph from the wire shape and validates it;
-// a graph that fails Validate (unknown op, out-of-range edge, negative
-// distance, distance-0 cycle) is rejected.  Decoding is strict — an
-// unknown or misspelled field inside a node or edge is an error, never
-// a silently-zeroed latency — matching the wire package's contract
-// (a custom UnmarshalJSON does not inherit the outer decoder's
-// DisallowUnknownFields, so it is re-imposed here).
+// AppendJSON appends the graph's wire encoding to dst: byte for byte
+// what json.Marshal writes for the graphJSON DTO, so encoders that
+// embed a graph need no compaction pass over it.
+func (g *Graph) AppendJSON(dst []byte) []byte {
+	// A node encodes to about 32 bytes and an edge to about 48: one
+	// allocation covers a typical graph.
+	dst = slices.Grow(dst, 64+32*len(g.nodes)+48*len(g.edges))
+	open := len(dst)
+	dst = jsonx.AppendField(dst, open, "name")
+	dst = jsonx.AppendString(dst, g.Name)
+	if g.UnrollFactor != 1 && g.UnrollFactor != 0 {
+		dst = jsonx.AppendField(dst, open, "unroll_factor")
+		dst = jsonx.AppendInt(dst, g.UnrollFactor)
+	}
+	dst = append(dst, `,"nodes":[`...)
+	for i, n := range g.nodes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		at := len(dst)
+		dst = jsonx.AppendField(dst, at, "name")
+		dst = jsonx.AppendString(dst, n.Name)
+		dst = jsonx.AppendField(dst, at, "op")
+		dst = jsonx.AppendString(dst, n.Class.String())
+		if n.Orig != n.ID {
+			dst = jsonx.AppendField(dst, at, "orig")
+			dst = jsonx.AppendInt(dst, n.Orig)
+		}
+		if n.Copy != 0 {
+			dst = jsonx.AppendField(dst, at, "copy")
+			dst = jsonx.AppendInt(dst, n.Copy)
+		}
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"edges":[`...)
+	for i, e := range g.edges {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		at := len(dst)
+		dst = jsonx.AppendField(dst, at, "from")
+		dst = jsonx.AppendInt(dst, e.From)
+		dst = jsonx.AppendField(dst, at, "to")
+		dst = jsonx.AppendInt(dst, e.To)
+		dst = jsonx.AppendField(dst, at, "latency")
+		dst = jsonx.AppendInt(dst, e.Latency)
+		if e.Distance != 0 {
+			dst = jsonx.AppendField(dst, at, "distance")
+			dst = jsonx.AppendInt(dst, e.Distance)
+		}
+		dst = jsonx.AppendField(dst, at, "kind")
+		dst = jsonx.AppendString(dst, e.Kind.String())
+		dst = append(dst, '}')
+	}
+	return append(dst, ']', '}')
+}
+
+// UnmarshalJSON decodes a graph from the wire shape in one pass and
+// validates it; a graph that fails Validate (unknown op, out-of-range
+// edge, negative distance, distance-0 cycle) is rejected.  Decoding is
+// strict and follows encoding/json's rules (see the file comment), so
+// it behaves the same under a lenient outer json.Unmarshal as under
+// wire.DecodeStrict.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var in graphJSON
-	jd := json.NewDecoder(bytes.NewReader(data))
-	jd.DisallowUnknownFields()
-	if err := jd.Decode(&in); err != nil {
+	d := jsonx.NewDecoder(data)
+	in.decode(d)
+	if err := d.End(); err != nil {
 		return err
 	}
 	dec := New(in.Name)

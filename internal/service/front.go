@@ -99,17 +99,23 @@ func (f *Front) answer(ctx context.Context, req *wire.CompileRequest) (*wire.Res
 	if werr := f.gate(req.V); werr != nil {
 		return nil, werr
 	}
-	d := defaultTimeout
-	if req.TimeoutMS > 0 {
-		d = min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
-	}
-	cctx, cancel := context.WithTimeout(ctx, d)
+	cctx, cancel := context.WithTimeout(ctx, RequestTimeout(req))
 	defer cancel()
 	res, err := f.b.Compile(cctx, req)
 	if err != nil {
 		return nil, f.wireError(err)
 	}
 	return res, nil
+}
+
+// RequestTimeout is the deadline a request's compile runs under: its
+// timeout_ms clamped to maxTimeout, or defaultTimeout when unset.  The
+// cluster router bounds the batch items it forwards by it too.
+func RequestTimeout(req *wire.CompileRequest) time.Duration {
+	if req.TimeoutMS > 0 {
+		return min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
+	}
+	return defaultTimeout
 }
 
 // gate refuses new work while draining, then checks the wire version.

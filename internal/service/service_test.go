@@ -122,11 +122,35 @@ func TestCompileInline(t *testing.T) {
 	}
 }
 
-// TestCompileMalformedJSON asserts 400 + bad_request for junk bodies.
+// TestCompileMalformedJSON asserts 400 + bad_request for junk bodies,
+// trailing data, and each way an inline loop's graph fails the strict
+// decode.
 func TestCompileMalformedJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	inline := func(graph string) string {
+		return `{"v":1,"loop":{"graph":` + graph + `},"machine_ref":"unified"}`
+	}
+	const two = `{"name":"a","op":"iadd"},{"name":"b","op":"fadd"}`
+	edges := func(e string) string {
+		return inline(`{"name":"g","nodes":[` + two + `],"edges":[` + e + `]}`)
+	}
+	valid := edges(`{"from":0,"to":1,"latency":1,"kind":"true"}`)
+	wantResult(t, post(t, ts.URL+"/v1/compile", valid)) // the base the inline cases break
 	for _, body := range []string{
 		`{`, `[]`, `{"v":1,"loop_ref":}`, `{"v":1,"bogus_field":true}`,
+		valid + ` {}`, // trailing data
+		inline(`{"name":"g","nodes":[{"name":"a","op":"iadd","opp":"x"}],"edges":[]}`),                   // unknown node field
+		edges(`{"from":0,"to":1,"latncy":3,"kind":"true"}`),                                              // unknown edge field
+		inline(`{"name":"g","nodes":[` + two + `],"edges":[],"egdes":[]}`),                               // unknown graph field
+		inline(`{"name":"g","nodes":[{"name":"a","op":"warp"}],"edges":[]}`),                             // unknown op
+		edges(`{"from":0,"to":1,"latency":1,"kind":"psychic"}`),                                          // unknown edge kind
+		edges(`{"from":0,"to":7,"latency":1,"kind":"true"}`),                                             // edge out of range
+		edges(`{"from":0,"to":1,"latency":1,"distance":-1,"kind":"true"}`),                               // negative distance
+		edges(`{"from":0,"to":1,"latency":-1,"kind":"true"}`),                                            // negative latency
+		edges(`{"from":0,"to":1,"latency":1,"kind":"true"},{"from":1,"to":0,"latency":1,"kind":"true"}`), // distance-0 cycle
+		edges(`{"from":0,"to":1,"latency":1.5,"kind":"true"}`),                                           // fraction in an int
+		edges(`{"from":0,"to":1,"latency":1e3,"kind":"true"}`),                                           // exponent in an int
+		edges(`{"from":"0","to":1,"latency":1,"kind":"true"}`),                                           // string for an int
 	} {
 		wantError(t, post(t, ts.URL+"/v1/compile", body), http.StatusBadRequest, wire.CodeBadRequest)
 	}

@@ -15,6 +15,18 @@
 // The golden fixtures under testdata/ pin the byte-level format; a
 // change that alters them is a wire-format change and must bump
 // Version.
+//
+// Codecs: the compile path's payloads are encoded and decoded by hand
+// (jsoncodec.go, over internal/jsonx) — AppendCompileRequest and
+// AppendBatchRequest on the client's way out, DecodeCompileResponse and
+// DecodeBatchItem on its way back, and ddg.Graph's own codec inside
+// every message that carries a loop.  They reproduce encoding/json
+// byte for byte and decision for decision: FuzzDecodeCompileRequest
+// runs the graph codec against the reflective one it replaced,
+// FuzzDecodeCompileResponse runs the response decoders against
+// json.Unmarshal, and TestHandCodecsCoverSchema fails when a DTO field
+// is missing from a hand codec.  Every other message, and the server's
+// request envelope (DecodeStrict), still goes through encoding/json.
 package wire
 
 import (
