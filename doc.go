@@ -70,13 +70,16 @@
 //
 // The scheduler's inner loop is incremental and allocation-free.
 // Register pressure is not recomputed per candidate: each cluster
-// carries a regpress.Table — a modulo-slot pressure histogram with an
-// over-capacity counter — updated in place/unplace with exactly the
-// lifetime segments a placement creates (the node's own value,
-// extensions of already-placed producers, bus-transfer holds), every
-// mutation recorded in an undo log so a speculative
-// place/check/unplace costs O(lifetime length) and the fits check is
-// O(1) per cluster.  One attempt state is allocated per scheduling run
+// carries a regpress.Table — a modulo-slot pressure histogram with
+// per-16-slot-block maxima and a cached overall maximum — updated in
+// place/unplace with exactly the lifetime segments a placement creates
+// (the node's own value, extensions of already-placed producers,
+// bus-transfer holds), every mutation recorded in an undo log, so the
+// fits check and MaxLive are O(1) per cluster.  Candidates are checked
+// against a regpress.Shadow: the live table plus the would-be segments,
+// kept as a full-wrap count and a few slot arcs and answered from range
+// maxima over the block table in O(arcs · (16 + II/16)), with nothing
+// copied or undone.  One attempt state is allocated per scheduling run
 // and recycled across the whole II search (epoch-based placement
 // flags, reservation tables resized in place, scratch buffers reused),
 // so BenchmarkTryCommitAttempt reports 0 allocs/op; the exact oracle

@@ -1,6 +1,7 @@
 package regpress
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -29,25 +30,56 @@ func tableEquals(t *testing.T, tab *Table, lts []Lifetime, ii int, ctx string) {
 	}
 }
 
+// randLifetime draws a lifetime for an II-slot table, mixing the shapes
+// the block maxima must get right: short ranges straddling a 16-slot
+// block edge, negative starts, and ranges wrapping the II several times.
+func randLifetime(rng *rand.Rand, ii int) Lifetime {
+	var lt Lifetime
+	switch rng.Intn(4) {
+	case 0: // around a block edge, possibly past II (wraparound)
+		edge := blockSize * rng.Intn(ii/blockSize+2)
+		lt.Start = edge - rng.Intn(blockSize+2)
+		lt.End = edge + rng.Intn(blockSize+2)
+	case 1: // negative start
+		lt.Start = -rng.Intn(3*ii + 1)
+		lt.End = lt.Start + rng.Intn(2*ii+2)
+	case 2: // multi-wrap
+		lt.Start = rng.Intn(4*ii+1) - 2*ii
+		lt.End = lt.Start + ii*(1+rng.Intn(3)) + rng.Intn(ii)
+	default:
+		lt.Start = rng.Intn(2*ii+1) - ii/2
+		lt.End = lt.Start + rng.Intn(ii+2)
+	}
+	if lt.End < lt.Start {
+		lt.Start, lt.End = lt.End, lt.Start
+	}
+	return lt
+}
+
+// oracleIIs covers one-slot and sub-block tables, every block-boundary
+// shape (exact multiples, one either side) and IIs in the hundreds,
+// where the per-block maxima do the work.
+var oracleIIs = []int{1, 2, 5, 9, 15, 16, 17, 31, 32, 33, 48, 100, 255, 256, 257, 427, 600}
+
 func TestTableMatchesPressureOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		ii := 1 + rng.Intn(9)
-		tab := NewTable(ii, 1+rng.Intn(4))
-		var live []Lifetime
-		for op := 0; op < 40; op++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				// Remove a random lifetime (LIFO not required by Table).
-				i := rng.Intn(len(live))
-				tab.Sub(live[i].Start, live[i].End)
-				live = append(live[:i], live[i+1:]...)
-			} else {
-				lt := Lifetime{Start: rng.Intn(21) - 10}
-				lt.End = lt.Start + rng.Intn(3*ii+2)
-				tab.Add(lt.Start, lt.End)
-				live = append(live, lt)
+	for _, ii := range oracleIIs {
+		for trial := 0; trial < 12; trial++ {
+			tab := NewTable(ii, 1+rng.Intn(6))
+			var live []Lifetime
+			for op := 0; op < 40; op++ {
+				if len(live) > 0 && rng.Intn(3) == 0 {
+					// Remove a random lifetime (LIFO not required by Table).
+					i := rng.Intn(len(live))
+					tab.Sub(live[i].Start, live[i].End)
+					live = append(live[:i], live[i+1:]...)
+				} else {
+					lt := randLifetime(rng, ii)
+					tab.Add(lt.Start, lt.End)
+					live = append(live, lt)
+				}
+				tableEquals(t, tab, live, ii, fmt.Sprintf("II=%d trial %d op %d", ii, trial, op))
 			}
-			tableEquals(t, tab, live, ii, "interleaved")
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/ddg"
 	"repro/internal/machine"
 	"repro/internal/order"
@@ -45,6 +47,38 @@ func BenchmarkBSA(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ScheduleGraph(g, &cfg, nil); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBSALargeII runs the full heuristic on loops unrolled ×4 on
+// 4-cluster/B1/L2, the regime that dominates a paper-grid pass: long
+// unrolled bodies whose speculative register checks work on large
+// modulo tables.  tomcatv.loop7 settles at II 43; fpppp.loop3 never
+// fits: its search tries IIs up to 1710 before reporting a *Error.
+func BenchmarkBSALargeII(b *testing.B) {
+	loops := corpus.Index(corpus.SPECfp95())
+	cfg := machine.FourCluster(1, 2)
+	for _, bc := range []struct {
+		ref string
+		ii  int // 0: the search must fail
+	}{
+		{"tomcatv.loop7", 43},
+		{"fpppp.loop3", 0},
+	} {
+		g := loops[bc.ref].Graph.Unroll(4)
+		b.Run(bc.ref+"x4", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := ScheduleGraph(g, &cfg, nil)
+				var serr *Error
+				switch {
+				case bc.ii == 0 && !errors.As(err, &serr):
+					b.Fatalf("%s x4: err = %v, want *sched.Error", bc.ref, err)
+				case bc.ii != 0 && (err != nil || s.II != bc.ii):
+					b.Fatalf("%s x4: err = %v, want a schedule at II %d", bc.ref, err, bc.ii)
 				}
 			}
 		})

@@ -25,8 +25,9 @@ import (
 // extensions of already-placed same-cluster producers, and the
 // producer/consumer holds of its bus transfers.  Candidate placements
 // are checked without touching the live tables at all: speculate()
-// applies the would-be segments to per-cluster Shadow copies (snapshot
-// + additive apply, nothing to undo), so only the chosen candidate pays
+// records the would-be segments in per-cluster Shadow views of the live
+// tables (a few slot arcs each, read against the tables' block maxima;
+// nothing copied, nothing to undo), so only the chosen candidate pays
 // for a real place.
 type state struct {
 	g   *ddg.Graph
@@ -73,7 +74,7 @@ type state struct {
 	undo []undoRec
 	mark []int
 
-	// Speculation scratch (speculate): per-cluster shadow tables plus
+	// Speculation scratch (speculate): per-cluster shadow views plus
 	// stamped temporaries emulating the lifetime/transfer-bound updates
 	// a real place would make.  specEpoch advances per speculation so
 	// the stamps never need clearing.
