@@ -54,25 +54,27 @@ func BenchmarkBSA(b *testing.B) {
 }
 
 // BenchmarkBSALargeII runs the full heuristic on loops unrolled ×4 on
-// 4-cluster/B1/L2, the regime that dominates a paper-grid pass: long
+// 4-cluster machines, the paper grid's costliest compiles: long
 // unrolled bodies whose speculative register checks work on large
-// modulo tables.  tomcatv.loop7 settles at II 43; fpppp.loop3 never
-// fits: its search tries IIs up to 1710 before reporting a *Error.
+// modulo tables.  tomcatv.loop7 settles at II 43 on 4-cluster/B1/L2;
+// fpppp.loop3 there and mgrid.loop4 on 4-cluster/B2/L2 never fit: their
+// searches try IIs up to 1710 and 1029 before reporting a *Error.
 func BenchmarkBSALargeII(b *testing.B) {
 	loops := corpus.Index(corpus.SPECfp95())
-	cfg := machine.FourCluster(1, 2)
 	for _, bc := range []struct {
 		ref string
+		cfg machine.Config
 		ii  int // 0: the search must fail
 	}{
-		{"tomcatv.loop7", 43},
-		{"fpppp.loop3", 0},
+		{"tomcatv.loop7", machine.FourCluster(1, 2), 43},
+		{"fpppp.loop3", machine.FourCluster(1, 2), 0},
+		{"mgrid.loop4", machine.FourCluster(2, 2), 0},
 	} {
 		g := loops[bc.ref].Graph.Unroll(4)
 		b.Run(bc.ref+"x4", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := ScheduleGraph(g, &cfg, nil)
+				s, err := ScheduleGraph(g, &bc.cfg, nil)
 				var serr *Error
 				switch {
 				case bc.ii == 0 && !errors.As(err, &serr):

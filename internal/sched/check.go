@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/regpress"
 )
@@ -62,6 +63,34 @@ func (st *state) checkWindowSkip(n, c, t int) {
 	if plan, ok := st.planComms(needs, nil); ok {
 		st.releasePlan(plan)
 		panic(fmt.Sprintf("sched: template window wrongly rejected node %d c=%d t=%d", n, c, t))
+	}
+}
+
+// regSkipProbes counts the skipped cycles checkRegSkip re-probed up to
+// the register check, so tests can tell the oracle ran.
+var regSkipProbes atomic.Int64
+
+// checkRegSkip asserts that the k run cycles regSkip skipped after a
+// register failure at t all fail: each is re-probed exactly as
+// tryCycles would have probed it.
+func (st *state) checkRegSkip(n, c, t, k int) {
+	class := st.fg.class[n]
+	for j := 1; j <= k; j++ {
+		tt := t + j*st.run.step
+		if !st.res.fuFree(c, class, tt) || tt < st.tplMin[c] || tt > st.tplMax[c] {
+			continue
+		}
+		plan, ok := st.planActs(n, c, tt, nil)
+		if !ok {
+			continue
+		}
+		regSkipProbes.Add(1)
+		fits, _ := st.speculate(n, c, tt, plan)
+		st.releasePlan(plan)
+		if fits {
+			panic(fmt.Sprintf("sched: register skip from t=%d wrongly rejected node %d c=%d t=%d (graph %s II=%d)",
+				t, n, c, tt, st.g.Name, st.ii))
+		}
 	}
 }
 

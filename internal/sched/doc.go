@@ -17,14 +17,23 @@
 // 0 allocs/op) and its reservation tables are packed bitsets:
 //
 //   - The modulo reservation table (mrt.go) keeps one uint64 word per
-//     bus and per (cluster, FU class) for any II <= 64 — the practical
-//     range; Table 1 machines schedule at II <= ~30.  A bus-transfer
-//     window of BusLatency consecutive modulo slots, including its wrap
-//     past II-1, is a single masked AND; finding the first feasible
-//     transfer start is a rotate-and-TrailingZeros scan (busScan)
-//     instead of a per-slot probing loop.  Giant IIs fall back to a
-//     multi-word path that the differential tests drive against a
-//     per-slot scalar oracle (mrt_scalar_test.go).
+//     bus and per (cluster, FU class) for any II <= 64 and ceil(II/64)
+//     words above.  The paper grid's successful schedules reach II 88
+//     (unrolled bodies) and its failed unrolled searches run IIs up to
+//     1710, so the multi-word rows are a hot path too.  A bus-transfer window
+//     of BusLatency consecutive modulo slots, including its wrap past
+//     II-1, is a single masked AND in one word; finding the first
+//     feasible transfer start (busScan) builds a free-start bitmap —
+//     by rotation within the one word, or one 64-slot word at a time
+//     above — and takes TrailingZeros instead of probing slot by slot.
+//     The differential tests drive both regimes against a per-slot
+//     scalar oracle (mrt_scalar_test.go).
+//
+//   - A candidate cycle that fails only its register check also proves
+//     the cycles after it fail, up to the next change of the transfers
+//     to plan, when the lifetime segments that persist along the scan
+//     already overflow (tryCycles, regSkip): a failed attempt's cost
+//     stops growing with the 2·II+L-cycle scans of the node that jams.
 //
 //   - All per-attempt state lives in flat arenas sized once per
 //     ScheduleGraph call and recycled across the II search via

@@ -23,6 +23,16 @@ func fuzzGraph(seed uint64, nNodes, nExtra uint8) *ddg.Graph {
 	return ddg.Random(seed, nNodes, nExtra)
 }
 
+// fuzzScheduleSeeds is FuzzSchedule's seed corpus: every sample graph,
+// plus assorted random shapes.
+var fuzzScheduleSeeds = []struct {
+	seed                    uint64
+	nNodes, nExtra, cfgPick uint8
+}{
+	{0, 0, 0, 0}, {1, 0, 0, 1}, {2, 0, 0, 2}, {3, 0, 0, 3}, {4, 0, 0, 0},
+	{1, 6, 3, 0}, {42, 10, 5, 2}, {7, 14, 7, 1}, {123, 9, 6, 3},
+}
+
 // FuzzSchedule generates random small DDGs, schedules them on the
 // paper's 2- and 4-cluster configurations, and asserts the independent
 // validator's invariants (FU and bus occupancy, dependence distances,
@@ -31,14 +41,9 @@ func fuzzGraph(seed uint64, nNodes, nExtra uint8) *ddg.Graph {
 // too small, unroutable communication) is a legitimate outcome, not a
 // finding.
 func FuzzSchedule(f *testing.F) {
-	// Anchors: every sample graph, plus assorted random shapes.
-	for s := uint64(0); s < 5; s++ {
-		f.Add(s, uint8(0), uint8(0), uint8(s%4))
+	for _, sd := range fuzzScheduleSeeds {
+		f.Add(sd.seed, sd.nNodes, sd.nExtra, sd.cfgPick)
 	}
-	f.Add(uint64(1), uint8(6), uint8(3), uint8(0))
-	f.Add(uint64(42), uint8(10), uint8(5), uint8(2))
-	f.Add(uint64(7), uint8(14), uint8(7), uint8(1))
-	f.Add(uint64(123), uint8(9), uint8(6), uint8(3))
 
 	f.Fuzz(func(t *testing.T, seed uint64, nNodes, nExtra, cfgPick uint8) {
 		g := fuzzGraph(seed, nNodes, nExtra)

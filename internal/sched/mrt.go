@@ -13,8 +13,9 @@ import (
 //
 // Occupancy is tracked in packed uint64 bitset rows, one word per 64
 // kernel slots: a "free functional unit?" probe is a single AND+mask, a
-// bus window test is at most two masked word scans (the reservation may
-// wrap past slot II-1 back to 0), and reserve/release are OR/ANDN.
+// bus window test is at most two masked range scans (the reservation may
+// wrap past slot II-1 back to 0), a first-free-start search builds its
+// bitmap a word at a time (busScan), and reserve/release are OR/ANDN.
 // Units of a class can number more than one per cluster, so the FU rows
 // pair the bitset (bit set = slot full) with a per-slot counter that
 // decides when the bit flips; buses have capacity one and need only the
@@ -203,11 +204,13 @@ func (m *mrt) busFreeSlot(b, s int) bool {
 
 // busScan returns the smallest k in [0, n) such that a transfer can
 // start at kernel slot (s+k) mod ii on bus b, or -1 when none fits.
-// With the whole table in one word (II <= 64, the practical case) the
-// scan is branch-light bit arithmetic: the busy row is rotated lat-1
-// times to build a "start here and the next BusLatency-1 slots are free
-// too" bitmap, and TrailingZeros finds the first feasible start — the
-// per-slot probing loop the bitset rows were built to replace.
+// It never probes slot by slot: a "start here and the next
+// BusLatency-1 slots are free too" bitmap is built by clearing the
+// free-slot bits under each of the lat-1 shifted copies of the busy
+// row, and TrailingZeros finds the first feasible start.  With the
+// whole table in one word (II <= 64) the shifted copies are rotations
+// of that word; above II 64 the bitmap is built one 64-slot word at a
+// time from s onward (busWord), so a scan costs O(BusLatency · n/64).
 //
 //vliw:allocfree
 func (m *mrt) busScan(b, s, n int) int {
@@ -215,15 +218,29 @@ func (m *mrt) busScan(b, s, n int) int {
 	if lat > m.ii || n <= 0 {
 		return -1
 	}
+	if n > m.ii {
+		n = m.ii
+	}
 	if m.words > 1 {
-		// Rare giant-II fallback: probe slot by slot.
-		for k := 0; k < n; k++ {
-			ss := s + k
-			if ss >= m.ii {
-				ss -= m.ii
+		row := m.busBusy[b*m.words : (b+1)*m.words]
+		for k := 0; k < n; k += 64 {
+			p := s + k
+			if p >= m.ii {
+				p -= m.ii
 			}
-			if m.busFreeSlot(b, ss) {
-				return k
+			ok := ^m.busWord(row, p)
+			for j := 1; j < lat && ok != 0; j++ {
+				q := p + j
+				if q >= m.ii {
+					q -= m.ii
+				}
+				ok &^= m.busWord(row, q)
+			}
+			if ok != 0 {
+				if d := bits.TrailingZeros64(ok); k+d < n {
+					return k + d
+				}
+				return -1
 			}
 		}
 		return -1
@@ -238,9 +255,6 @@ func (m *mrt) busScan(b, s, n int) int {
 		rot := (busy>>uint(k) | busy<<uint(m.ii-k)) & mask
 		ok &^= rot
 	}
-	if n > m.ii {
-		n = m.ii
-	}
 	// First set bit at offset >= 0 from s, wrapping once past ii-1.
 	if x := ok >> uint(s); x != 0 {
 		if k := bits.TrailingZeros64(x); k < n {
@@ -254,6 +268,33 @@ func (m *mrt) busScan(b, s, n int) int {
 		}
 	}
 	return -1
+}
+
+// busWord returns the 64 busy bits of a multi-word row starting at
+// kernel slot p (0 <= p < ii), wrapping past slot ii-1: bit j is slot
+// (p+j) mod ii.  With ii > 64 the window wraps at most once, and the
+// row's bits at and above ii are always clear, so the wrapped part is
+// OR-ed in from slot 0.
+//
+//vliw:allocfree
+func (m *mrt) busWord(row []uint64, p int) uint64 {
+	x := wordAt(row, p)
+	if tail := m.ii - p; tail < 64 {
+		x |= row[0] << uint(tail)
+	}
+	return x
+}
+
+// wordAt returns bits [p, p+64) of the row, zero past its last word.
+//
+//vliw:allocfree
+func wordAt(row []uint64, p int) uint64 {
+	w, o := p>>6, uint(p&63)
+	x := row[w] >> o
+	if o != 0 && w+1 < len(row) {
+		x |= row[w+1] << (64 - o)
+	}
+	return x
 }
 
 // busBitFree reports whether the single kernel slot s on bus b is idle

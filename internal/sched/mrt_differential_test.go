@@ -21,7 +21,10 @@ type mrtRes struct {
 // reserve/release sequence and asserts they agree on every free-slot
 // query after every step.  The II sweep crosses the one-word/two-word
 // boundary (64) and the BusLatency == II wrap boundary, the two places
-// the bit arithmetic can go wrong silently.
+// the bit arithmetic can go wrong silently, and reaches the multi-word
+// IIs failed unrolled searches run at (up to 1671 on the paper grid),
+// where busScan assembles its free-start bitmap a word at a time and
+// queries span several words and wrap past II-1.
 func TestMRTDifferential(t *testing.T) {
 	type combo struct {
 		name string
@@ -34,6 +37,8 @@ func TestMRTDifferential(t *testing.T) {
 		{"two_2bus_lat3", machine.TwoCluster(2, 3), []int{3, 6}},
 		{"two_1bus_latEqII", machine.TwoCluster(1, 5), []int{5}},
 		{"four_2bus_wide", machine.FourCluster(2, 5), []int{63, 64, 65, 70}},
+		{"four_2bus_lat1_words", machine.FourCluster(2, 1), []int{127, 128, 129, 200, 1671}},
+		{"four_2bus_lat2_words", machine.FourCluster(2, 2), []int{127, 128, 129, 200, 1671}},
 	}
 	for _, cb := range combos {
 		for _, ii := range cb.iis {
@@ -53,7 +58,30 @@ func runMRTDifferential(t *testing.T, cfg *machine.Config, ii int, seed int64) {
 	oracle := newScalarMRT(cfg)
 	oracle.reset(ii)
 
+	dist := make([]int, ii)
 	var live []mrtRes
+	if ii > 64 {
+		// Multi-word tables: start each bus with a busy stretch of several
+		// words (wrapping past II-1 when it starts late) over a dense
+		// sprinkle, so first feasible starts lie words away from the
+		// query slot; the releases below reopen it piece by piece.
+		lat := cfg.BusLatency
+		for b := 0; b < cfg.NBuses; b++ {
+			first := rng.Intn(ii)
+			for k := 0; k+lat <= 3*64+rng.Intn(64) && k+lat < ii; k += lat {
+				m.reserveBus(b, first+k)
+				oracle.reserveBus(b, first+k)
+				live = append(live, mrtRes{bus: true, b: b, cycle: first + k})
+			}
+			for try := 0; try < ii; try++ {
+				if cycle := rng.Intn(ii); oracle.busFree(b, cycle) {
+					m.reserveBus(b, cycle)
+					oracle.reserveBus(b, cycle)
+					live = append(live, mrtRes{bus: true, b: b, cycle: cycle})
+				}
+			}
+		}
+	}
 	for step := 0; step < 400; step++ {
 		if len(live) > 0 && rng.Intn(3) == 0 {
 			// Release a random live reservation.
@@ -96,24 +124,33 @@ func runMRTDifferential(t *testing.T, cfg *machine.Config, ii int, seed int64) {
 		}
 
 		// Full-table agreement after every mutation, plus the bus scan
-		// against a slot-by-slot reference.
+		// from every slot against the oracle's distance to the next free
+		// start (dist[s], -1 when the bus has none).
 		for b := 0; b < cfg.NBuses; b++ {
 			for s := 0; s < ii; s++ {
-				if got, want := m.busFreeSlot(b, s), oracle.busFree(b, s); got != want {
-					t.Fatalf("step %d: busFreeSlot(%d, %d) = %v, oracle %v", step, b, s, got, want)
+				free := oracle.busFree(b, s)
+				if got := m.busFreeSlot(b, s); got != free {
+					t.Fatalf("step %d: busFreeSlot(%d, %d) = %v, oracle %v", step, b, s, got, free)
+				}
+				dist[s] = -1
+				if free {
+					dist[s] = 0
+				}
+			}
+			for k := 0; k < 2; k++ { // two sweeps carry distances across the wrap
+				for s := ii - 1; s >= 0; s-- {
+					if next := dist[(s+1)%ii]; dist[s] != 0 && next >= 0 && (dist[s] < 0 || next+1 < dist[s]) {
+						dist[s] = next + 1
+					}
 				}
 			}
 			for s := 0; s < ii; s++ {
 				n := 1 + rng.Intn(ii)
-				got := m.busScan(b, s, n)
-				want := -1
-				for k := 0; k < n; k++ {
-					if oracle.busFree(b, (s+k)%ii) {
-						want = k
-						break
-					}
+				want := dist[s]
+				if want >= n {
+					want = -1
 				}
-				if got != want {
+				if got := m.busScan(b, s, n); got != want {
 					t.Fatalf("step %d: busScan(%d, %d, %d) = %d, oracle %d", step, b, s, n, got, want)
 				}
 			}

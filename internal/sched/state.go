@@ -1055,23 +1055,8 @@ func (st *state) transCur(idx int) int {
 //
 //vliw:allocfree
 func (st *state) speculate(n, c, t int, plan []plannedComm) (bool, int) {
-	// A placement only ever adds pressure, so nothing can start fitting
-	// by placing more; mirroring the place-then-check contract exactly.
-	if !st.fits() {
+	if !st.specBegin() {
 		return false, 0
-	}
-	st.specEpoch++
-	for _, dc := range st.dirtyList {
-		st.shadowDirty[dc] = false
-	}
-	st.dirtyList = st.dirtyList[:0]
-	if len(st.transStamp) < len(st.transfers) {
-		st.transStamp = growInt32s(st.transStamp[:0], len(st.transfers))
-		for i := range st.transStamp {
-			st.transStamp[i] = 0
-		}
-		st.transTmp = growInts(st.transTmp, len(st.transfers))
-		st.specEpoch++ // stale stamps were dropped; never match them
 	}
 	ii := st.ii
 
@@ -1130,32 +1115,11 @@ func (st *state) speculate(n, c, t int, plan []plannedComm) (bool, int) {
 			st.shadowOf(pc.from).Add(cur, end)
 			st.lifeTmp[pc.producer] = end
 		}
-
 		arrival := pc.start + st.cfg.BusLatency
-		last := arrival
-		for _, e := range st.fg.trueOut(pc.producer) {
-			m := int(e.n)
-			var mc, mt int
-			if m == n {
-				mc, mt = c, t
-			} else if st.placed(m) {
-				mc, mt = st.cluster[m], st.time[m]
-			} else {
-				continue
-			}
-			if mc != pc.to {
-				continue
-			}
-			read := mt + ii*int(e.dist)
-			if read >= arrival && read+1 > last {
-				last = read + 1
-			}
-		}
-		if last > arrival+1 {
+		if last := st.transferLast(n, c, t, pc, true); last > arrival+1 {
 			st.shadowOf(pc.to).Add(arrival, last)
 		}
 	}
-
 	for _, dc := range st.dirtyList {
 		if !st.shadow[dc].Fits() {
 			return false, 0
@@ -1165,6 +1129,65 @@ func (st *state) speculate(n, c, t int, plan []plannedComm) (bool, int) {
 		return true, st.shadow[c].Max()
 	}
 	return true, st.press[c].Max()
+}
+
+// specBegin starts a speculation on empty shadows.  It reports false
+// when a live table already overflows: a placement only ever adds
+// pressure, so nothing can start fitting by placing more, mirroring the
+// place-then-check contract exactly.
+//
+//vliw:allocfree
+func (st *state) specBegin() bool {
+	if !st.fits() {
+		return false
+	}
+	st.specEpoch++
+	for _, dc := range st.dirtyList {
+		st.shadowDirty[dc] = false
+	}
+	st.dirtyList = st.dirtyList[:0]
+	if len(st.transStamp) < len(st.transfers) {
+		st.transStamp = growInt32s(st.transStamp[:0], len(st.transfers))
+		for i := range st.transStamp {
+			st.transStamp[i] = 0
+		}
+		st.transTmp = growInts(st.transTmp, len(st.transfers))
+		st.specEpoch++ // stale stamps were dropped; never match them
+	}
+	return true
+}
+
+// transferLast is the consumer-side bound of plan transfer pc for node
+// n placed at (c, t): the latest read+1 among the destination
+// cluster's placed consumers whose read the arrival covers, at least
+// the arrival itself.  withN counts n as one of those consumers.
+//
+//vliw:allocfree
+func (st *state) transferLast(n, c, t int, pc plannedComm, withN bool) int {
+	arrival := pc.start + st.cfg.BusLatency
+	last := arrival
+	for _, e := range st.fg.trueOut(pc.producer) {
+		m := int(e.n)
+		var mc, mt int
+		if m == n {
+			if !withN {
+				continue
+			}
+			mc, mt = c, t
+		} else if st.placed(m) {
+			mc, mt = st.cluster[m], st.time[m]
+		} else {
+			continue
+		}
+		if mc != pc.to {
+			continue
+		}
+		read := mt + st.ii*int(e.dist)
+		if read >= arrival && read+1 > last {
+			last = read + 1
+		}
+	}
+	return last
 }
 
 // crossCheckSpeculate replays a speculation through the mutating
@@ -1225,6 +1248,24 @@ func (st *state) try(n, c int) (tryResult, FailCause) {
 // the next try of the same cluster, which is exactly the candidate
 // lifetime of the BSA selection loop.
 //
+// A probe that fails only its register check can prove that the probes
+// after it fail too.  Along a run, some of the lifetime segments a
+// placement adds never shrink — its persistent arcs (regSkip lists
+// them per direction): the extensions of placed producers, a committed
+// transfer's consumer-side hold and a planned incoming transfer's two
+// holds each keep a fixed start while their end only grows with t, and
+// an outgoing transfer's consumer-side hold always covers [deadline,
+// last read] however its start moves.  The planned incoming transfers
+// themselves stay put while the set of template entries a committed
+// transfer already satisfies stays the same: their bus windows only
+// grow (forward) or only shrink (backward) around the same earliest
+// free start, so the plan is identical or fails.  So when the
+// persistent arcs alone overflow a register file, every probe up to the
+// next satisfied-set change fails as well — by its register check if
+// not earlier — and the scan jumps there.  Once a register failure is
+// recorded the verdict is CauseReg either way, so the skip changes
+// neither the placement found nor the failure reported.
+//
 //vliw:allocfree
 func (st *state) tryCycles(n, c int) FailCause {
 	class := st.fg.class[n]
@@ -1284,8 +1325,146 @@ func (st *state) tryCycles(n, c int) FailCause {
 			return CauseNone
 		}
 		reached = CauseReg
+		if k := st.regSkip(n, c, t, plan, r.count-1-i); k > 0 {
+			if pressureChecks {
+				st.checkRegSkip(n, c, t, k) //vliw:alloc-ok debug-gated register-skip oracle (pressureChecks)
+			}
+			i += k
+			t += k * r.step
+			s = st.res.slot(t)
+		}
 	}
 	return reached
+}
+
+// regSkip runs after speculate rejected node n at (c, t) with plan, and
+// returns how many of the next `left` cycles of the scan run are proven
+// to fail as well: all of them up to the next change of the set of
+// template entries a committed transfer satisfies, when the persistent
+// arcs (see tryCycles) overflow a register file at t, and 0 otherwise.
+// Every arc added here is covered by the arcs speculate would add at
+// each skipped cycle, so the shadows read a lower bound of its
+// pressure there:
+//
+//   - forward runs: the extensions of same-cluster producers and of
+//     committed transfers into c (each as the union [fixed start,
+//     latest read+1) of speculate's chain of segments);
+//   - backward runs: n's own value over [t, last placed same-cluster
+//     read], which the value covers from any earlier issue cycle;
+//   - both: each planned incoming transfer's producer-side hold and its
+//     consumer-side hold (backward: up to placed reads only, since n's
+//     reads move earlier), and each unsatisfied outgoing entry's
+//     consumer-side hold over [deadline, last read] on its cluster —
+//     the transfer arrives by the deadline wherever its start lands.
+//     Backward, the first outgoing transfer's hold starts at its
+//     planned arrival instead: it is planned on the same bus state
+//     (committed transfers plus the unchanged incoming plan) from an
+//     earlier release, so its earliest free start can only move
+//     earlier.
+//
+// A forward run loses an incoming entry when a committed transfer
+// starts to cover it; a backward run gains one when its coverage ends,
+// and starts planning an outgoing entry its committed transfers stop
+// covering.  Those thresholds bound the skip.
+//
+//vliw:allocfree
+func (st *state) regSkip(n, c, t int, plan []plannedComm, left int) int {
+	fwd := st.run.step > 0
+	nc := st.cfg.NClusters
+	lim := left
+	for i := range st.tplInBuf {
+		tp := &st.tplInBuf[i]
+		sat := st.satInBuf[i*nc+c]
+		switch {
+		case tp.pc == c || sat == tplIntMax:
+		case fwd && t < sat && sat-1-t < lim:
+			lim = sat - 1 - t
+		case !fwd && t >= sat && t-sat < lim:
+			lim = t - sat
+		}
+	}
+	if !fwd {
+		for j := range st.tplOutBuf {
+			sat := st.satOutBuf[j]
+			if st.tplOutBuf[j].mc != c && sat != -tplIntMax-1 && t > sat && t-sat-1 < lim {
+				lim = t - sat - 1
+			}
+		}
+	}
+	if lim <= 0 {
+		return 0
+	}
+	if !st.specBegin() {
+		return left
+	}
+	ii, lat := st.ii, st.cfg.BusLatency
+	if fwd {
+		for _, pr := range st.prodBuf {
+			p := pr.p
+			read := t + ii*pr.dist
+			if st.cluster[p] == c {
+				if cur := st.lifeCur(p); read+1 > cur {
+					st.shadowOf(c).Add(cur, read+1)
+					st.lifeTmp[p] = read + 1
+				}
+				continue
+			}
+			for _, idx := range st.byProd[p] {
+				tr := &st.transfers[idx]
+				if tr.To != c {
+					continue
+				}
+				arrival := tr.Start + lat
+				if cur := st.transCur(int(idx)); read >= arrival && read+1 > cur {
+					lo := cur
+					if cur == st.transLast[idx] {
+						lo = effEnd(arrival, cur)
+					}
+					st.shadowOf(c).Add(lo, read+1)
+					st.transTmp[idx] = read + 1
+				}
+			}
+		}
+	} else if st.fg.produces[n] && st.endFix[c] > t {
+		st.shadowOf(c).Add(t, st.endFix[c])
+	}
+	first, haveFirst := 0, false
+	for _, pc := range plan {
+		if pc.producer == n {
+			// Outgoing holds are bounded below from the template; a
+			// backward run keeps the first one's arrival.
+			if !fwd && !haveFirst {
+				first, haveFirst = pc.start+lat, true
+			}
+			continue
+		}
+		if end, cur := pc.start+1, st.lifeEnd[pc.producer]; end > cur {
+			st.shadowOf(pc.from).Add(cur, end)
+		}
+		arrival := pc.start + lat
+		if last := st.transferLast(n, c, t, pc, fwd); last > arrival+1 {
+			st.shadowOf(c).Add(arrival, last)
+		}
+	}
+	for j := range st.tplOutBuf {
+		tp := &st.tplOutBuf[j]
+		if tp.mc == c || t <= st.satOutBuf[j] {
+			continue
+		}
+		lo := tp.dl
+		if haveFirst {
+			lo, haveFirst = first, false
+		}
+		if end := st.endFix[tp.mc]; end > lo+1 {
+			st.shadowOf(tp.mc).Add(lo, end)
+		}
+	}
+	for _, dc := range st.dirtyList {
+		if !st.shadow[dc].Fits() {
+			return lim
+		}
+	}
+	return 0
 }
 
 // commit re-applies a placement previously found by try.  Nothing
