@@ -252,11 +252,30 @@ func BenchmarkSMSOrdering(b *testing.B) {
 	}
 }
 
+// BenchmarkUnrollTransform times the cold ×4 transform: each iteration
+// unrolls a fresh clone (built with the timer stopped), so no shared
+// unrolled graph answers.
 func BenchmarkUnrollTransform(b *testing.B) {
 	g := benchLoop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Unroll(4)
+		b.StopTimer()
+		c := g.Clone()
+		b.StartTimer()
+		c.Unroll(4)
+	}
+}
+
+// BenchmarkUnrollShared times what every compile after the first pays
+// for the ×4 body: the lookup of the loop's shared unrolled graph.
+func BenchmarkUnrollShared(b *testing.B) {
+	g := benchLoop()
+	u := g.Unroll(4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.Unroll(4) != u {
+			b.Fatal("the shared unrolled graph was rebuilt")
+		}
 	}
 }
 

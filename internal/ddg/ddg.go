@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"weak"
 
 	"repro/internal/machine"
 )
@@ -98,6 +99,10 @@ type Graph struct {
 	// edge arrays, RecMII, validation) keyed by the consumer's choice of
 	// string.  Mutators reset it alongside fp.
 	memo map[string]any
+	// unrolled holds Unroll's shared result per factor > 1, weakly: a
+	// caller that keeps the source graph (a cached no-unroll result)
+	// does not pin its unrolled copies.  Mutators reset it alongside fp.
+	unrolled map[int]weak.Pointer[Graph]
 }
 
 // Memoize returns the cached value for key, computing it with build on
@@ -129,6 +134,7 @@ func (g *Graph) invalidate() {
 	g.mu.Lock()
 	g.fp = ""
 	g.memo = nil
+	g.unrolled = nil
 	g.mu.Unlock()
 }
 

@@ -1,8 +1,11 @@
 package ddg
 
-import "fmt"
+import (
+	"fmt"
+	"weak"
+)
 
-// Unroll returns a new graph whose body is u copies of the receiver's.
+// Unroll returns the graph whose body is u copies of the receiver's.
 // Copy i of the consumer of an edge with iteration distance d depends on
 // copy ((i-d) mod u) of the producer, at new distance ceil((d-i)/u)
 // (derived in §5.2 of the paper: after unrolling, iteration K of the new
@@ -10,6 +13,16 @@ import "fmt"
 //
 // The copies keep Orig/Copy metadata so statistics can count work per
 // original iteration.  Unroll(1) is a plain clone.
+//
+// For u > 1 the result is shared: every call with the same factor gets
+// the same graph, so its memoized analyses (SMS order, RecMII,
+// validation) are computed once however many machines and policies
+// schedule it.  Callers must treat it as immutable and Clone it to get
+// a graph they may mutate.  The receiver holds it weakly — it is
+// rebuilt, with identical content, once no caller holds it any more —
+// and mutating the receiver through AddNode/AddEdge/UnmarshalJSON drops
+// it.  Concurrent first calls may build it redundantly, but all of them
+// return the graph stored first.
 func (g *Graph) Unroll(u int) *Graph {
 	if u < 1 {
 		panic(fmt.Sprintf("ddg: Unroll factor %d < 1", u))
@@ -17,6 +30,27 @@ func (g *Graph) Unroll(u int) *Graph {
 	if u == 1 {
 		return g.Clone()
 	}
+	g.mu.Lock()
+	shared := g.unrolled[u].Value()
+	g.mu.Unlock()
+	if shared != nil {
+		return shared
+	}
+	out := g.unroll(u)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if shared := g.unrolled[u].Value(); shared != nil {
+		return shared
+	}
+	if g.unrolled == nil {
+		g.unrolled = make(map[int]weak.Pointer[Graph], 1)
+	}
+	g.unrolled[u] = weak.Make(out)
+	return out
+}
+
+// unroll builds the factor-u body; see Unroll.
+func (g *Graph) unroll(u int) *Graph {
 	out := New(fmt.Sprintf("%s.x%d", g.Name, u))
 	out.UnrollFactor = g.UnrollFactor * u
 

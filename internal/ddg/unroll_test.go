@@ -2,8 +2,11 @@ package ddg
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/machine"
 )
@@ -254,4 +257,77 @@ func TestUnrollPanicsOnZero(t *testing.T) {
 		}
 	}()
 	SampleChain(2).Unroll(0)
+}
+
+// TestUnrollShared pins the sharing contract of Unroll for factors
+// above 1: one graph per factor while a caller holds it, an identical
+// rebuild once it is collected, a fresh graph after the source
+// changes, and one graph for concurrent callers.
+func TestUnrollShared(t *testing.T) {
+	g := SampleStencil()
+	a := g.Unroll(4)
+	if b := g.Unroll(4); b != a {
+		t.Fatal("two Unroll(4) calls returned different graphs while the first was reachable")
+	}
+	if g.Unroll(2) == a {
+		t.Fatal("Unroll(2) returned the factor-4 graph")
+	}
+	if c := g.Unroll(1); c == g || c == g.Unroll(1) {
+		t.Fatal("Unroll(1) did not return a fresh clone")
+	}
+
+	fp := a.Fingerprint()
+	gone := weak.Make(a)
+	a = nil
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Fatal("the source graph pins its unrolled graph")
+	}
+	rebuilt := g.Unroll(4)
+	if rebuilt.Fingerprint() != fp {
+		t.Fatalf("rebuild fingerprint %s, want %s", rebuilt.Fingerprint(), fp)
+	}
+
+	held := rebuilt
+	g.AddNode("extra", machine.OpIAdd)
+	if u := g.Unroll(4); u == held || u.NumNodes() != 4*g.NumNodes() {
+		t.Fatalf("AddNode kept the stale unrolled graph (%d nodes, source %d)", u.NumNodes(), g.NumNodes())
+	}
+	held = g.Unroll(4)
+	g.AddTrueDep(0, g.NumNodes()-1, 1)
+	if u := g.Unroll(4); u == held || u.NumEdges() != 4*g.NumEdges() {
+		t.Fatalf("AddEdge kept the stale unrolled graph (%d edges, source %d)", u.NumEdges(), g.NumEdges())
+	}
+	held = g.Unroll(4)
+	blob, err := SampleDotProduct().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.UnmarshalJSON(blob); err != nil {
+		t.Fatal(err)
+	}
+	if u := g.Unroll(4); u == held || u.Fingerprint() != SampleDotProduct().Unroll(4).Fingerprint() {
+		t.Fatal("UnmarshalJSON kept the stale unrolled graph")
+	}
+
+	src := SampleFigure7()
+	want := SampleFigure7().Unroll(3).Fingerprint()
+	got := make([]*Graph, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = src.Unroll(3)
+		}()
+	}
+	wg.Wait()
+	for i, u := range got {
+		if u.Fingerprint() != want {
+			t.Errorf("goroutine %d: fingerprint %s, want %s", i, u.Fingerprint(), want)
+		}
+		if u != got[0] {
+			t.Errorf("goroutine %d got a different graph than goroutine 0", i)
+		}
+	}
 }

@@ -39,11 +39,6 @@ type Context struct {
 	trajectory []int
 	winner     string
 	candidates []Candidate
-	// unrolled memoizes Unroll by factor, so a racing policy that
-	// computed a floor on an unrolled graph hands the same graph to the
-	// candidate that schedules it.  Graphs are immutable once built
-	// (the pipeline already schedules shared graphs concurrently).
-	unrolled map[int]*ddg.Graph
 }
 
 func newContext(ctx context.Context, g *ddg.Graph, cfg *machine.Config, opts *Options, eng SchedulerEngine) *Context {
@@ -60,21 +55,14 @@ func (cc *Context) Err() error { return cc.ctx.Err() }
 
 // Child derives a candidate Context for a racing policy: same inputs
 // and engine, its own cancellation signal, fresh telemetry, and the
-// candidate strategy substituted into a copy of the options.  The
-// parent's unrolled-graph memo is copied, not shared: children run
-// concurrently, and a goroutine-local map keeps their misses
-// race-free.
+// candidate strategy substituted into a copy of the options.  Children
+// run concurrently; the unrolled graphs they schedule are the source
+// graph's shared ones (ddg.Graph.Unroll), so a child reuses what the
+// parent or a sibling already built.
 func (cc *Context) Child(ctx context.Context, strat Strategy) *Context {
 	opts := *cc.Opts
 	opts.Strategy = strat
-	child := newContext(ctx, cc.Graph, cc.Cfg, &opts, cc.Engine)
-	if len(cc.unrolled) > 0 {
-		child.unrolled = make(map[int]*ddg.Graph, len(cc.unrolled))
-		for f, g := range cc.unrolled {
-			child.unrolled[f] = g
-		}
-	}
-	return child
+	return newContext(ctx, cc.Graph, cc.Cfg, &opts, cc.Engine)
 }
 
 // stageIndex maps a canonical stage to its slot.
@@ -104,21 +92,16 @@ func (cc *Context) stageDuration(name StageName) time.Duration {
 	return cc.stages[stageIndex(name)].Duration
 }
 
-// Unroll builds the factor-f unrolled graph (f == 1 returns the
-// original), timed under the unroll stage and memoized per factor.
+// Unroll returns the factor-f unrolled graph (f == 1 returns the
+// original), timed under the unroll stage.  The graph is the source
+// graph's shared, immutable one: every compile of the loop with this
+// factor schedules the same graph and its memoized analyses.
 func (cc *Context) Unroll(f int) *ddg.Graph {
 	if f <= 1 {
 		return cc.Graph
 	}
-	if g, ok := cc.unrolled[f]; ok {
-		return g
-	}
 	start := time.Now()
 	ug := cc.Graph.Unroll(f)
-	if cc.unrolled == nil {
-		cc.unrolled = make(map[int]*ddg.Graph, 2)
-	}
-	cc.unrolled[f] = ug
 	cc.addStage(StageUnroll, time.Since(start), 1)
 	return ug
 }

@@ -166,9 +166,9 @@ func (portfolioPolicy) Compile(cc *Context) (*Result, error) {
 
 // portfolioFloors builds the candidate set with its per-iteration
 // lower bounds; the MinII computations on the unrolled graphs are
-// unroll-decision work and timed as such.  The graphs built here stay
-// in the context's memo, so the candidates that schedule them do not
-// rebuild them.
+// unroll-decision work and timed as such.  The graphs built here are
+// the loop's shared unrolled graphs (ddg.Graph.Unroll), so the
+// candidates that schedule them look them up rather than rebuild them.
 func portfolioFloors(cc *Context) []candidate {
 	start := time.Now()
 	unrollBefore := cc.stageDuration(StageUnroll)

@@ -3,10 +3,12 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -473,5 +475,57 @@ func TestFallbackEngagesForAliasSpelling(t *testing.T) {
 		Opts: core.Options{Strategy: core.UnrollAll, Factor: 16}})
 	if err != nil || res2 != res {
 		t.Errorf("canonical spelling did not hit the alias's cache entry (err %v)", err)
+	}
+}
+
+// TestCachedResultDoesNotPinUnrolledGraph: a cached selective result
+// that kept the original loop does not keep the unrolled graph its
+// decision built alive — the loop holds its shared unrolled graphs
+// weakly — while a cached unroll_all result, which schedules that
+// graph, does.  A daemon's cache of not-unrolled results must not grow
+// by a hidden unrolled copy per loop.
+func TestCachedResultDoesNotPinUnrolledGraph(t *testing.T) {
+	l := &corpus.Loop{Graph: ddg.SampleFigure7(), Iters: 16, Weight: 1, Bench: "test"}
+	cfg := machine.FourCluster(1, 2)
+	p := New(1)
+
+	// Hold the shared graph across the compile, so the selective
+	// decision is known to have used this very graph.
+	u := l.Graph.Unroll(cfg.NClusters)
+	shared := weak.Make(u)
+	res, err := p.Compile(Request{Loop: l, Cfg: cfg, Opts: core.Options{Strategy: core.SelectiveUnroll}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Decision.BusLimited || res.Decision.Unrolled {
+		t.Fatalf("want a bus-limited loop left rolled, got decision %v", res.Decision)
+	}
+	if l.Graph.Unroll(cfg.NClusters) != u {
+		t.Fatal("the loop did not keep sharing its unrolled graph")
+	}
+	u = nil
+	runtime.GC()
+	if shared.Value() != nil {
+		t.Fatal("the cached selective result pins the unrolled graph")
+	}
+
+	all, err := p.Compile(Request{Loop: l, Cfg: cfg, Opts: core.Options{Strategy: core.UnrollAll}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Factor != cfg.NClusters {
+		t.Fatalf("unroll_all factor %d, want %d", all.Factor, cfg.NClusters)
+	}
+	scheduled := weak.Make(all.Schedule.Graph)
+	all = nil
+	runtime.GC()
+	if scheduled.Value() == nil {
+		t.Fatal("the cached unroll_all result lost the graph it schedules")
+	}
+	if l.Graph.Unroll(cfg.NClusters) != scheduled.Value() {
+		t.Fatal("unroll_all did not schedule the loop's shared unrolled graph")
+	}
+	if st := p.Stats(); st.CachedEntries != 2 {
+		t.Fatalf("%d cached entries, want both results", st.CachedEntries)
 	}
 }

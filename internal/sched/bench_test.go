@@ -87,6 +87,26 @@ func BenchmarkBSALargeII(b *testing.B) {
 	}
 }
 
+// BenchmarkValidate is the independent validator, the check every
+// compile pays once, on a large finished schedule: fpppp.loop3
+// unrolled ×4 (256 operations, 20 transfers) at II 41 on
+// 4-cluster/B2/L1.  (On 4-cluster/B1/L1 that body has no schedule.)
+func BenchmarkValidate(b *testing.B) {
+	g := corpus.Index(corpus.SPECfp95())["fpppp.loop3"].Graph.Unroll(4)
+	cfg := machine.FourCluster(2, 1)
+	s, err := ScheduleGraph(g, &cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Validate(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTryCommitAttempt is the try/commit hot path in isolation:
 // one full runAttempt per iteration on a recycled state at a fixed
 // feasible II — no MinII, ordering or Schedule construction.  This is

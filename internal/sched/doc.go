@@ -35,6 +35,13 @@
 //     already overflow (tryCycles, regSkip): a failed attempt's cost
 //     stops growing with the 2·II+L-cycle scans of the node that jams.
 //
+//   - Validate, which every compile runs once on its result, checks FU
+//     capacity with a bitmask of busy units per (cluster, FU class,
+//     slot) and bus capacity with a transfer index per (bus, slot), both
+//     in flat tables, and Lifetimes groups transfers by producer with a
+//     counting sort; FuzzValidate holds both to the map-based versions
+//     kept in validate_test.go.
+//
 //   - All per-attempt state lives in flat arenas sized once per
 //     ScheduleGraph call and recycled across the II search via
 //     epoch-stamped resets (state.go); communication feasibility is

@@ -168,10 +168,7 @@ func (s *Schedule) MaxLive() []int {
 // arrival live in the IRV and need no register).
 func (s *Schedule) Lifetimes() [][]regpress.Lifetime {
 	out := make([][]regpress.Lifetime, s.Cfg.NClusters)
-	byProd := make(map[int][]Transfer)
-	for _, t := range s.Transfers {
-		byProd[t.Producer] = append(byProd[t.Producer], t)
-	}
+	at, byProd := s.transfersByProducer()
 	for _, n := range s.Graph.Nodes() {
 		if !n.Class.ProducesValue() {
 			continue
@@ -190,15 +187,16 @@ func (s *Schedule) Lifetimes() [][]regpress.Lifetime {
 				end = r
 			}
 		}
-		for _, t := range byProd[n.ID] {
-			if r := t.Start + 1; r > end {
+		for _, ti := range byProd[at[n.ID]:at[n.ID+1]] {
+			if r := s.Transfers[ti].Start + 1; r > end {
 				end = r
 			}
 		}
 		out[p.Cluster] = append(out[p.Cluster], regpress.Lifetime{Start: p.Cycle, End: end})
 
 		// Consumer-side lifetimes per destination cluster.
-		for _, t := range byProd[n.ID] {
+		for _, ti := range byProd[at[n.ID]:at[n.ID+1]] {
+			t := s.Transfers[ti]
 			arrival := t.Start + s.Cfg.BusLatency
 			last := arrival
 			for _, e := range s.Graph.OutEdges(n.ID) {
@@ -221,6 +219,34 @@ func (s *Schedule) Lifetimes() [][]regpress.Lifetime {
 		}
 	}
 	return out
+}
+
+// transfersByProducer groups the transfer indices by producer, in
+// transfer order: node p's transfers are s.Transfers[i] for i in
+// byProd[at[p]:at[p+1]].  It is a counting sort over one allocation; a
+// transfer whose producer is not a node is left out, as no node's
+// lifetime can use it.
+func (s *Schedule) transfersByProducer() (at, byProd []int32) {
+	n := s.Graph.NumNodes()
+	buf := make([]int32, n+2+len(s.Transfers))
+	at, byProd = buf[:n+2], buf[n+2:]
+	for _, t := range s.Transfers {
+		if t.Producer >= 0 && t.Producer < n {
+			at[t.Producer+2]++
+		}
+	}
+	for p := 2; p < n+2; p++ {
+		at[p] += at[p-1]
+	}
+	// at[p+1] now indexes node p's first slot; filling advances it to
+	// node p+1's first, which leaves at[p] at node p's first.
+	for i, t := range s.Transfers {
+		if t.Producer >= 0 && t.Producer < n {
+			byProd[at[t.Producer+1]] = int32(i)
+			at[t.Producer+1]++
+		}
+	}
+	return at[:n+1], byProd[:at[n]]
 }
 
 // String renders the kernel as a reservation-table dump, one row per

@@ -18,7 +18,8 @@ import (
 //     every cross-cluster true dependence is served by a transfer that
 //     leaves after the producer finishes and arrives before the consumer
 //     issues (iteration-aligned);
-//  4. every transfer's producer lives in the transfer's source cluster;
+//  4. every transfer's producer lives in the transfer's source cluster,
+//     and its destination is a cluster of the machine;
 //  5. register pressure fits every cluster's file.
 //
 // Experiments run it on every schedule they produce.
@@ -31,13 +32,16 @@ func Validate(s *Schedule) error {
 		return fmt.Errorf("validate: II = %d", s.II)
 	}
 
-	// 1. Placements and FU capacity.
-	type fuKey struct {
-		cluster int
-		class   machine.FUClass
-		slot    int
+	// 1. Placements and FU capacity: a bitmask of busy units per
+	// (cluster, FU class, slot), each `words` uint64s wide so that the
+	// machine's widest class fits, in one flat table.
+	words := 1
+	for c := 0; c < cfg.NClusters; c++ {
+		for class := machine.FUClass(0); class < machine.NumFUClasses; class++ {
+			words = max(words, (cfg.FUs(c, class)+63)/64)
+		}
 	}
-	fuSeen := map[fuKey]map[int]bool{}
+	fuBusy := make([]uint64, cfg.NClusters*int(machine.NumFUClasses)*s.II*words)
 	for id, p := range s.Placements {
 		if p.Node != id {
 			return fmt.Errorf("validate: placement %d labelled node %d", id, p.Node)
@@ -53,19 +57,22 @@ func Validate(s *Schedule) error {
 			return fmt.Errorf("validate: node %d on %s unit %d of %d",
 				id, class, p.FU, cfg.FUs(p.Cluster, class))
 		}
-		k := fuKey{p.Cluster, class, p.Cycle % s.II}
-		if fuSeen[k] == nil {
-			fuSeen[k] = map[int]bool{}
-		}
-		if fuSeen[k][p.FU] {
+		slot := p.Cycle % s.II
+		w := ((p.Cluster*int(machine.NumFUClasses)+int(class))*s.II+slot)*words + p.FU/64
+		bit := uint64(1) << (p.FU % 64)
+		if fuBusy[w]&bit != 0 {
 			return fmt.Errorf("validate: cluster %d %s unit %d slot %d double-booked",
-				p.Cluster, class, p.FU, k.slot)
+				p.Cluster, class, p.FU, slot)
 		}
-		fuSeen[k][p.FU] = true
+		fuBusy[w] |= bit
 	}
 
-	// 2. Bus capacity.
-	busBusy := map[[2]int]int{} // (bus, slot) -> transfer index
+	// 2. Bus capacity: busBusy[bus*II+slot] is 1 + the index of the
+	// transfer holding that slot, 0 when it is free.
+	var busBusy []int32
+	if len(s.Transfers) > 0 {
+		busBusy = make([]int32, cfg.NBuses*s.II)
+	}
 	for i, t := range s.Transfers {
 		if t.Bus < 0 || t.Bus >= cfg.NBuses {
 			return fmt.Errorf("validate: transfer %d on bus %d of %d", i, t.Bus, cfg.NBuses)
@@ -74,12 +81,12 @@ func Validate(s *Schedule) error {
 			return fmt.Errorf("validate: bus latency %d exceeds II %d", cfg.BusLatency, s.II)
 		}
 		for k := 0; k < cfg.BusLatency; k++ {
-			slot := [2]int{t.Bus, mod(t.Start+k, s.II)}
-			if prev, clash := busBusy[slot]; clash {
+			slot := mod(t.Start+k, s.II)
+			if prev := busBusy[t.Bus*s.II+slot]; prev != 0 {
 				return fmt.Errorf("validate: bus %d slot %d carries transfers %d and %d",
-					t.Bus, slot[1], prev, i)
+					t.Bus, slot, prev-1, i)
 			}
-			busBusy[slot] = i
+			busBusy[t.Bus*s.II+slot] = int32(i + 1)
 		}
 	}
 
@@ -104,7 +111,7 @@ func Validate(s *Schedule) error {
 		}
 	}
 
-	// 4. Transfer sources.
+	// 4. Transfer endpoints.
 	for i, t := range s.Transfers {
 		if t.Producer < 0 || t.Producer >= g.NumNodes() {
 			return fmt.Errorf("validate: transfer %d has bad producer %d", i, t.Producer)
@@ -117,6 +124,9 @@ func Validate(s *Schedule) error {
 		if t.Start < p.Cycle+g.Node(t.Producer).Class.Latency() {
 			return fmt.Errorf("validate: transfer %d starts at %d before producer %s finishes at %d",
 				i, t.Start, g.Node(t.Producer).Name, p.Cycle+g.Node(t.Producer).Class.Latency())
+		}
+		if t.To < 0 || t.To >= cfg.NClusters {
+			return fmt.Errorf("validate: transfer %d goes to cluster %d of %d", i, t.To, cfg.NClusters)
 		}
 	}
 

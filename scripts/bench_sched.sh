@@ -28,7 +28,7 @@ cat BENCH_sched.txt
 
 # -require makes a renamed or silently skipped benchmark a hard failure
 # instead of an artefact that quietly stops tracking it.
-REQUIRED="BenchmarkScheduleBSA4Cluster,BenchmarkScheduleBSAUnified,BenchmarkTryCommitAttempt/4-cluster/B1/L1,BenchmarkPlaceUnplace,BenchmarkBSALargeII/tomcatv.loop7x4,BenchmarkBSALargeII/fpppp.loop3x4,BenchmarkBSALargeII/mgrid.loop4x4"
+REQUIRED="BenchmarkScheduleBSA4Cluster,BenchmarkScheduleBSAUnified,BenchmarkTryCommitAttempt/4-cluster/B1/L1,BenchmarkPlaceUnplace,BenchmarkBSALargeII/tomcatv.loop7x4,BenchmarkBSALargeII/fpppp.loop3x4,BenchmarkBSALargeII/mgrid.loop4x4,BenchmarkValidate"
 go run ./cmd/benchjson -baseline scripts/bench_baseline_pr5.txt -require "${REQUIRED}" < BENCH_sched.txt > BENCH_sched.json
 
 # -check re-validates the emitted artefact against benchjson's own
