@@ -43,8 +43,8 @@ func main() {
 		faultSpec  = flag.String("faults", "",
 			"chaos-mode fault spec, e.g. seed=1,panic=0.05,latency=0.2:10ms (never in production)")
 		peers = flag.String("peers", "",
-			"comma-separated peer base URLs for cache federation (cluster mode); misses ask the ring-preferred peer before compiling")
-		peerSelf = flag.String("peer-self", "", "this daemon's own URL within -peers (excluded from lookups)")
+			"comma-separated replica base URLs, this daemon's own included, for cache federation (cluster mode); a miss on a key another replica owns asks that owner before compiling")
+		peerSelf = flag.String("peer-self", "", "this daemon's own URL within -peers (it never asks peers about keys it owns)")
 		snapshot = flag.String("snapshot", "",
 			"cache snapshot path: warm-start from it at boot (if present), write it back after drain")
 		prefill = flag.String("prefill", "",

@@ -12,11 +12,10 @@
 //	schedrouter -addr :8080 \
 //	  -replicas s1=http://127.0.0.1:8181,s2=http://127.0.0.1:8182,s3=http://127.0.0.1:8183
 //
-// Replica names (the part before "=") are the ring identity; keep them
-// stable across restarts and deploys so the keyspace does not
-// reshuffle when a replica changes address.  Naming each replica by its
-// URL (a bare url) makes the router's ring agree with the replicas'
-// -peers ring for inline loops (see internal/cluster).  Clients and the
+// Replica names (the part before "=", optional) are labels only: the
+// ring hashes each loop's fingerprint over the replica URLs, the same
+// rule the replicas' -peers ring applies (see internal/cluster), so
+// spell each URL as the replicas' -peers lists do.  Clients and the
 // load harness point at the router exactly as they would at one
 // schedd: it is a service.Backend behind the same HTTP front end, so
 // deadlines, the batch stream and SIGTERM drain behave alike.  Each
@@ -40,7 +39,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		replicas = flag.String("replicas", "",
-			"comma-separated replicas, each name=url (bare urls use the url as ring name)")
+			"comma-separated replica base urls, each optionally labelled name=url; the ring hashes the urls")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "replica health/capability probe period")
 	)
 	flag.Parse()

@@ -7,16 +7,21 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/machine"
+	"repro/internal/pipeline"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -141,7 +146,9 @@ func TestPeerHitServesWithoutRecompiling(t *testing.T) {
 	}
 }
 
-// clusterUnderTest is a 3-replica fleet behind one router.
+// clusterUnderTest is a 3-replica fleet behind one router, each
+// replica federated with all three URLs as cmd/schedd -peers/-peer-self
+// wire it.
 type clusterUnderTest struct {
 	srvs   []*service.Server
 	tss    []*httptest.Server
@@ -153,13 +160,24 @@ func newCluster(t *testing.T) *clusterUnderTest {
 	t.Helper()
 	c := &clusterUnderTest{}
 	var reps []Replica
+	var urls []string
 	for i := 0; i < 3; i++ {
-		srv := service.New(service.Config{Workers: 2})
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewUnstartedServer(nil)
 		t.Cleanup(ts.Close)
-		c.srvs = append(c.srvs, srv)
 		c.tss = append(c.tss, ts)
-		reps = append(reps, Replica{Name: fmt.Sprintf("s%d", i+1), URL: ts.URL})
+		urls = append(urls, "http://"+ts.Listener.Addr().String())
+		reps = append(reps, Replica{Name: fmt.Sprintf("s%d", i+1), URL: urls[i]})
+	}
+	for i, ts := range c.tss {
+		srv := service.New(service.Config{Workers: 2})
+		pl, err := NewPeerLookup(PeerConfig{Self: urls[i], Peers: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Pipeline().SetPeerLookup(pl.Func())
+		ts.Config.Handler = srv.Handler()
+		ts.Start()
+		c.srvs = append(c.srvs, srv)
 	}
 	rt, err := NewRouter(RouterConfig{Replicas: reps})
 	if err != nil {
@@ -228,10 +246,17 @@ func TestClusterShardsAndRehashesOnReplicaLoss(t *testing.T) {
 		t.Fatalf("replay recompiled: %d -> %d (per-replica %v)", total, again, perAgain)
 	}
 
-	// Kill replica 0: drain flips its /readyz, the listener closes, the
+	// Kill the busiest replica (one that owns keys, whatever ports the
+	// listeners got): drain flips its /readyz, the listener closes, the
 	// next probe marks it dead.
-	c.srvs[0].BeginDrain()
-	c.tss[0].Close()
+	dead := 0
+	for i, n := range per {
+		if n > per[dead] {
+			dead = i
+		}
+	}
+	c.srvs[dead].BeginDrain()
+	c.tss[dead].Close()
 	if ready := c.router.Probe(context.Background()); ready != 2 {
 		t.Fatalf("probe after kill found %d replicas, want 2", ready)
 	}
@@ -281,7 +306,7 @@ func TestClusterShardsAndRehashesOnReplicaLoss(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&agg); err != nil {
 		t.Fatal(err)
 	}
-	if want := afterLoss - perLoss[0]; agg.Pipeline.Compilations != want {
+	if want := afterLoss - perLoss[dead]; agg.Pipeline.Compilations != want {
 		t.Fatalf("aggregated compilations %d, want %d (survivors only)", agg.Pipeline.Compilations, want)
 	}
 }
@@ -381,5 +406,108 @@ func TestRouterProbeMarksDrainingReplicaDead(t *testing.T) {
 	}
 	if n := c.srvs[1].Pipeline().Stats().Compilations; n != 0 {
 		t.Fatalf("draining replica still compiled %d requests", n)
+	}
+}
+
+// TestRouterAndPeersAgree pins the one placement rule: the router and
+// every replica's peer ring hash the graph fingerprint over the replica
+// URLs.  A loop routed by loop_ref and the same loop routed inline land
+// on one owner, which never asks a peer about it; a replica sent a key
+// it does not own asks the owner and serves its answer.
+func TestRouterAndPeersAgree(t *testing.T) {
+	c := newCluster(t)
+	refs := loopRefs(t, 12)
+	for i, ref := range refs {
+		loop, err := json.Marshal(c.router.loops[ref])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies := []string{compileBody(ref),
+			fmt.Sprintf(`{"v":1,"loop":%s,"machine_ref":"4-cluster/B1/L1"}`, loop)}
+		if i%2 == 1 {
+			bodies[0], bodies[1] = bodies[1], bodies[0]
+		}
+		for _, body := range bodies {
+			resp, err := http.Post(c.front.URL+"/v1/compile", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: HTTP %d", ref, resp.StatusCode)
+			}
+		}
+	}
+	var peerAsks int64
+	for _, srv := range c.srvs {
+		st, err := srv.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		peerAsks += st.Service.Requests["cache"]
+	}
+	if peerAsks != 0 {
+		t.Errorf("owners asked peers %d times; an owner must never ask", peerAsks)
+	}
+	total, per := c.compilations()
+	if total != int64(len(refs)) {
+		t.Fatalf("fleet compiled %d times for %d loops sent by ref and inline (per-replica %v)", total, len(refs), per)
+	}
+
+	owner := c.router.ring.Owner(c.router.loops[refs[0]].Graph.Fingerprint())
+	other := 0
+	for c.tss[other].URL == owner {
+		other++
+	}
+	if _, status, werr := postCompile(t, c.tss[other].URL, refs[0]); werr != nil {
+		t.Fatalf("direct compile on a non-owner: HTTP %d %v", status, werr)
+	}
+	if st := c.srvs[other].Pipeline().Stats(); st.PeerHits != 1 {
+		t.Errorf("non-owner recorded %d peer hits, want 1", st.PeerHits)
+	}
+	if again, per := c.compilations(); again != total {
+		t.Errorf("non-owner recompiled: %d -> %d (per-replica %v)", total, again, per)
+	}
+}
+
+// TestPoisonedCacheEntryRejected: an entry whose schedule breaks a
+// dependence, re-encoded so its derived fields stay consistent, is
+// refused both as a snapshot row and as a peer's answer — a fault in
+// one replica cannot seed an illegal schedule into another.
+func TestPoisonedCacheEntryRejected(t *testing.T) {
+	l := corpus.Index(corpus.SPECfp95())["tomcatv.loop0"]
+	cfg := machine.FourCluster(1, 1)
+	res, err := core.Compile(l.Graph, &cfg, &core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned, sch := *res, *res.Schedule
+	sch.Placements = slices.Clone(sch.Placements)
+	broken := false
+	for _, e := range sch.Graph.Edges() {
+		if e.Distance == 0 && e.Latency > 0 {
+			sch.Placements[e.To].Cycle = sch.Placements[e.From].Cycle + e.Latency - 1
+			broken = true
+			break
+		}
+	}
+	if !broken {
+		t.Fatal("tomcatv.loop0 has no intra-iteration dependence to break")
+	}
+	poisoned.Schedule = &sch
+	const key = "poisoned-key"
+	row, err := json.Marshal(wire.FromCacheEntry(pipeline.CacheEntry{Key: key, Res: &poisoned}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.DecodeCacheEntry(bytes.NewReader(row)); err == nil || !strings.Contains(err.Error(), "validate:") {
+		t.Errorf("DecodeCacheEntry of a schedule that breaks a dependence: got %v, want a validate error", err)
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(row)
+	}))
+	defer peer.Close()
+	if _, err := FetchCacheEntry(context.Background(), http.DefaultClient, peer.URL, key); err == nil || !strings.Contains(err.Error(), "validate:") {
+		t.Errorf("FetchCacheEntry of a schedule that breaks a dependence: got %v, want a validate error", err)
 	}
 }

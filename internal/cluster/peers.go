@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -24,12 +24,11 @@ const peerTimeout = 250 * time.Millisecond
 
 // PeerConfig configures a daemon's view of its cluster peers.
 type PeerConfig struct {
-	// Self is this daemon's own URL as it appears in Peers; it is
-	// excluded from lookups (a daemon never asks itself).  May be empty
-	// when Peers already lists only the others.
+	// Self is this daemon's own URL.  Listed in Peers, it is a ring
+	// member like any other, and the daemon never asks about its keys.
 	Self string
-	// Peers are the other replicas' base URLs (e.g.
-	// "http://127.0.0.1:8181").  Order does not matter; the ring does.
+	// Peers are the replicas' base URLs (e.g. "http://127.0.0.1:8181"),
+	// spelled as the router's -replicas spells them, in any order.
 	Peers []string
 }
 
@@ -37,26 +36,28 @@ type PeerConfig struct {
 // implements pipeline.PeerLookupFunc via Lookup.
 type PeerLookup struct {
 	ring *Ring
+	self string
 }
 
 // NewPeerLookup builds the federation hook, or nil (no error) when the
 // config names no peers besides Self — a single daemon has nobody to
 // ask, and a nil *PeerLookup keeps the pipeline's lookup unset.
 func NewPeerLookup(cfg PeerConfig) (*PeerLookup, error) {
-	var others []string
+	self := trimURL(cfg.Self)
+	var members []string
 	for _, p := range cfg.Peers {
-		if p = strings.TrimRight(p, "/"); p != "" && p != strings.TrimRight(cfg.Self, "/") {
-			others = append(others, p)
+		if p = trimURL(p); p != "" {
+			members = append(members, p)
 		}
 	}
-	if len(others) == 0 {
+	if !slices.ContainsFunc(members, func(p string) bool { return p != self }) {
 		return nil, nil
 	}
-	ring, err := NewRing(others)
+	ring, err := NewRing(members)
 	if err != nil {
 		return nil, err
 	}
-	return &PeerLookup{ring: ring}, nil
+	return &PeerLookup{ring: ring, self: self}, nil
 }
 
 // Func returns the hook in the pipeline's shape; nil receiver, nil
@@ -68,13 +69,17 @@ func (pl *PeerLookup) Func() pipeline.PeerLookupFunc {
 	return pl.Lookup
 }
 
-// Lookup asks the peer most likely to own key's fingerprint for the
-// finished entry.  One peer, one bounded request: peers answer from
-// cache only (the /v1/cache handler never compiles and never asks
-// further), so lookups cannot cascade, and a miss or any failure
-// simply reports false — the caller compiles.
+// Lookup asks the owner of key's fingerprint for the finished entry;
+// the owner itself reports false with no I/O, since only a failover
+// puts its keys elsewhere.  Peers answer from cache only (the /v1/cache
+// handler never compiles and never asks further), so lookups cannot
+// cascade, and a miss or any failure reports false — the caller
+// compiles.
 func (pl *PeerLookup) Lookup(key string) (*core.Result, bool) {
 	peer := pl.ring.Owner(pipeline.KeyFingerprint(key))
+	if peer == pl.self {
+		return nil, false
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
 	e, err := FetchCacheEntry(ctx, http.DefaultClient, peer, key)
@@ -89,7 +94,7 @@ func (pl *PeerLookup) Lookup(key string) (*core.Result, bool) {
 // that was asked.
 func FetchCacheEntry(ctx context.Context, hc *http.Client, base, key string) (pipeline.CacheEntry, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(base, "/")+"/v1/cache/"+url.PathEscape(key), nil)
+		trimURL(base)+"/v1/cache/"+url.PathEscape(key), nil)
 	if err != nil {
 		return pipeline.CacheEntry{}, err
 	}
@@ -101,11 +106,7 @@ func FetchCacheEntry(ctx context.Context, hc *http.Client, base, key string) (pi
 	if resp.StatusCode != http.StatusOK {
 		return pipeline.CacheEntry{}, fmt.Errorf("peer %s: HTTP %d for %q", base, resp.StatusCode, key)
 	}
-	var row wire.CacheEntry
-	if err := wire.DecodeStrict(resp.Body, &row); err != nil {
-		return pipeline.CacheEntry{}, fmt.Errorf("peer %s: %w", base, err)
-	}
-	e, err := row.Core()
+	e, err := wire.DecodeCacheEntry(resp.Body)
 	if err != nil {
 		return pipeline.CacheEntry{}, fmt.Errorf("peer %s: %w", base, err)
 	}

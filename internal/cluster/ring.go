@@ -8,36 +8,36 @@
 //     identical loops always land on the shard whose cache has them, and
 //     membership changes move only ~1/N of the keyspace.
 //   - Router: the front door (cmd/schedrouter), a service.Backend behind
-//     the same HTTP front end schedd uses.  It extracts each compile
-//     request's routing fingerprint, orders the live,
-//     capability-compatible replicas by ring preference, and delegates
-//     the exchange to internal/client — whose per-attempt
-//     endpoint rotation turns replica loss into rehashing onto the next
-//     preferred shard rather than failure.  Stats and capabilities
-//     aggregate across the fleet in the ordinary wire shapes, so
-//     clients and the load harness see one logical daemon.
-//   - PeerLookup: the daemon-side federation hook.  A cache miss asks
-//     the ring-preferred peer for the finished entry
-//     (GET /v1/cache/{key}, one bounded intra-cluster round trip)
-//     before paying for a compile; peers answer from cache only, so
-//     lookups never cascade.
+//     the same HTTP front end schedd uses.  It resolves each compile
+//     request's loop (inline, or loop_ref through the corpus index
+//     schedd uses), orders the live, capability-compatible replicas by
+//     ring preference for that loop, and delegates the exchange to
+//     internal/client — whose per-attempt endpoint rotation turns
+//     replica loss into rehashing onto the next preferred shard rather
+//     than failure.  Stats and capabilities aggregate across the fleet
+//     in the ordinary wire shapes, so clients and the load harness see
+//     one logical daemon.
+//   - PeerLookup: the daemon-side federation hook.  A cache miss for a
+//     key this daemon does not own asks the key's owner for the
+//     finished entry (GET /v1/cache/{key}, one bounded intra-cluster
+//     round trip) before paying for a compile; peers answer from cache
+//     only, so lookups never cascade.
 //
-// Router and peers build the same ring (256 virtual nodes a member) but
-// over different strings.  The router's members are replica names and
-// its keys RoutingKey: the graph fingerprint for an inline loop,
-// "ref:<loop_ref>" otherwise.  A daemon's members are its peers' URLs
-// and its keys the fingerprint prefix of the pipeline cache key
-// (pipeline.KeyFingerprint), which is always the graph fingerprint.
-// So the replica the router prefers is the one its peers consult only
-// for inline loops, and only when each replica's name equals its URL;
-// otherwise a peer lookup may ask a replica that never compiled the
-// key, which costs a miss, never a wrong result.
+// Router and peers place a key by one rule: the ring's members are the
+// replicas' base URLs (trailing "/" trimmed, see trimURL) and its key is
+// the loop graph's content fingerprint, which is also the prefix of the
+// pipeline cache key (pipeline.KeyFingerprint).  So the replica the
+// router sends a loop to is the one every peer asks about it, and a
+// daemon whose peer list names itself never asks about a key it owns:
+// a miss there is a compile.
 package cluster
 
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // vnodesPerMember is the per-member virtual-node count: enough that
@@ -77,15 +77,17 @@ func hash64(s string) uint64 {
 	return h
 }
 
-// NewRing builds a ring over the given members (replica names or URLs
-// — any stable spelling, as long as every process uses the same one).
-// Duplicate or empty members are rejected: a duplicate would silently
-// double that member's share.
+// trimURL is the one spelling of a replica's base URL, as a ring member
+// and as a request prefix: trailing "/" dropped.
+func trimURL(u string) string { return strings.TrimRight(u, "/") }
+
+// NewRing builds a ring over the given members (replica URLs, spelled
+// by trimURL).  Duplicate or empty members are rejected: a duplicate
+// would silently double that member's share.
 func NewRing(members []string) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
 	}
-	seen := make(map[string]bool, len(members))
 	r := &Ring{
 		members: append([]string(nil), members...),
 		vnodes:  make([]vnode, 0, len(members)*vnodesPerMember),
@@ -94,10 +96,9 @@ func NewRing(members []string) (*Ring, error) {
 		if m == "" {
 			return nil, fmt.Errorf("cluster: empty ring member at index %d", i)
 		}
-		if seen[m] {
+		if slices.Contains(members[:i], m) {
 			return nil, fmt.Errorf("cluster: duplicate ring member %q", m)
 		}
-		seen[m] = true
 		for v := 0; v < vnodesPerMember; v++ {
 			r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s#%d", m, v)), member: i})
 		}
@@ -113,23 +114,9 @@ func NewRing(members []string) (*Ring, error) {
 	return r, nil
 }
 
-// Members returns the ring membership in construction order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
-// succ returns the index of the first vnode at or after h, wrapping.
-func (r *Ring) succ(h uint64) int {
-	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
-	if i == len(r.vnodes) {
-		i = 0
-	}
-	return i
-}
-
 // Owner returns the member owning key: the first vnode clockwise from
-// the key's hash.
-func (r *Ring) Owner(key string) string {
-	return r.members[r.vnodes[r.succ(hash64(key))].member]
-}
+// the key's hash, which heads Prefer's order.
+func (r *Ring) Owner(key string) string { return r.Prefer(key)[0] }
 
 // Prefer returns every member, ordered by ring preference for key: the
 // owner first, then each distinct member in clockwise vnode order.
@@ -139,7 +126,8 @@ func (r *Ring) Owner(key string) string {
 func (r *Ring) Prefer(key string) []string {
 	out := make([]string, 0, len(r.members))
 	taken := make([]bool, len(r.members))
-	start := r.succ(hash64(key))
+	h := hash64(key)
+	start := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
 	for i := 0; i < len(r.vnodes) && len(out) < len(r.members); i++ {
 		m := r.vnodes[(start+i)%len(r.vnodes)].member
 		if !taken[m] {

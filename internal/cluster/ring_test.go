@@ -126,11 +126,21 @@ func TestRingPreferIsRehashOrder(t *testing.T) {
 	}
 }
 
-// TestRingRejectsBadMembership pins the constructor's validation.
+// TestRingRejectsBadMembership pins the constructors' validation: the
+// ring's, and the router's, whose members are the trimmed replica URLs.
 func TestRingRejectsBadMembership(t *testing.T) {
 	for _, members := range [][]string{nil, {"a", ""}, {"a", "b", "a"}} {
 		if _, err := NewRing(members); err == nil {
 			t.Errorf("NewRing(%v) accepted invalid membership", members)
+		}
+	}
+	for _, reps := range [][]Replica{
+		nil,
+		{{Name: "s1", URL: "http://a:1"}, {Name: "s2"}},
+		{{Name: "s1", URL: "http://a:1"}, {Name: "s2", URL: "http://a:1/"}},
+	} {
+		if _, err := NewRouter(RouterConfig{Replicas: reps}); err == nil {
+			t.Errorf("NewRouter(%v) accepted invalid replicas", reps)
 		}
 	}
 }

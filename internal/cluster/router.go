@@ -5,7 +5,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"maps"
 	"math"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/service"
 	"repro/internal/wire"
@@ -24,11 +24,11 @@ import (
 
 // Replica names one schedd backend.
 type Replica struct {
-	// Name is the stable ring identity.  It, not the URL, is what the
-	// keyspace hashes over, so a replica can move (new port, new host)
-	// without reshuffling the ring.
+	// Name labels the replica for operators; routing ignores it.
 	Name string
-	// URL is the replica's base URL, e.g. "http://127.0.0.1:8181".
+	// URL is the replica's base URL, e.g. "http://127.0.0.1:8181", and
+	// its ring identity: the same member string its peers' -peers ring
+	// hashes, so router and peers agree on every key's owner.
 	URL string
 }
 
@@ -53,10 +53,10 @@ const (
 // probe and its advertised capabilities, plus a single-attempt client
 // for the per-replica stats and capability reads.
 type replicaState struct {
-	name, url string
-	cl        *client.Client
-	alive     atomic.Bool
-	caps      atomic.Pointer[wire.CapabilitiesResponse]
+	url   string
+	cl    *client.Client
+	alive atomic.Bool
+	caps  atomic.Pointer[wire.CapabilitiesResponse]
 }
 
 // Router consistent-hashes compile traffic across schedd replicas and
@@ -75,7 +75,11 @@ type Router struct {
 	front *service.Front
 
 	states []*replicaState
-	byName map[string]*replicaState
+	byURL  map[string]*replicaState
+	// loops resolves loop_ref to the corpus loop schedd would compile,
+	// so a by-reference request routes by the same fingerprint as the
+	// same loop inline.
+	loops map[string]*corpus.Loop
 
 	// clients caches one resilient client per preference order, so a
 	// keyspace region's failover chain reuses connections and backoff
@@ -87,26 +91,21 @@ type Router struct {
 
 // NewRouter builds a router over the configured replicas.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	if len(cfg.Replicas) == 0 {
-		return nil, fmt.Errorf("cluster: router needs at least one replica")
-	}
-	names := make([]string, len(cfg.Replicas))
+	urls := make([]string, len(cfg.Replicas))
 	for i, rep := range cfg.Replicas {
-		if rep.Name == "" || rep.URL == "" {
-			return nil, fmt.Errorf("cluster: replica %d needs both name and url", i)
-		}
-		names[i] = rep.Name
+		urls[i] = trimURL(rep.URL)
 	}
-	ring, err := NewRing(names)
+	ring, err := NewRing(urls)
 	if err != nil {
 		return nil, err
 	}
-	rt := &Router{ring: ring, http: cfg.HTTP, byName: map[string]*replicaState{}}
+	rt := &Router{ring: ring, http: cfg.HTTP, byURL: map[string]*replicaState{},
+		loops: corpus.Index(corpus.SPECfp95())}
 	if rt.http == nil {
 		rt.http = http.DefaultClient
 	}
-	for _, rep := range cfg.Replicas {
-		st := &replicaState{name: rep.Name, url: strings.TrimRight(rep.URL, "/")}
+	for _, u := range urls {
+		st := &replicaState{url: u}
 		if st.cl, err = client.New(client.Config{Endpoints: []string{st.url}, HTTP: rt.http, Attempts: 1}); err != nil {
 			return nil, err
 		}
@@ -115,7 +114,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		// probe interval.
 		st.alive.Store(true)
 		rt.states = append(rt.states, st)
-		rt.byName[rep.Name] = st
+		rt.byURL[u] = st
 	}
 	rt.front = service.NewFront(rt, maxBodyBytes)
 	return rt, nil
@@ -163,17 +162,19 @@ func (rt *Router) probeReady(ctx context.Context, base string) bool {
 	return resp.StatusCode/100 == 2
 }
 
-// RoutingKey extracts the string the ring hashes for a request: the
-// loop graph's content fingerprint when the loop rides inline, or a
-// "ref:" pseudo-fingerprint for by-reference loops.  The two forms of
-// the same loop do not co-locate — a ref carries no content to
-// fingerprint — which costs one duplicate cache entry per form, never
-// a wrong result.
-func RoutingKey(req *wire.CompileRequest) string {
-	if req.Loop != nil && req.Loop.Graph != nil {
-		return req.Loop.Graph.Fingerprint()
+// routingKey is the string the ring hashes for a request: the content
+// fingerprint of the loop graph, inline or resolved from loop_ref.  A
+// loop that does not resolve routes by the empty key; the replica it
+// lands on answers the same wire error schedd would.
+func (rt *Router) routingKey(req *wire.CompileRequest) string {
+	l := req.Loop
+	if l == nil {
+		l = rt.loops[req.LoopRef]
 	}
-	return "ref:" + req.LoopRef
+	if l == nil || l.Graph == nil {
+		return ""
+	}
+	return l.Graph.Fingerprint()
 }
 
 // supports reports whether a replica's advertised capabilities cover
@@ -223,8 +224,8 @@ func familyMatch(fams []wire.StrategyFamily, s string) bool {
 // the true owner).
 func (rt *Router) order(key string, opts *wire.Options) (urls []string, rehashed bool) {
 	var back []string
-	for _, name := range rt.ring.Prefer(key) {
-		st := rt.byName[name]
+	for _, u := range rt.ring.Prefer(key) {
+		st := rt.byURL[u]
 		caps := st.caps.Load()
 		if !st.alive.Load() || !supports(caps, opts) {
 			rehashed = true
@@ -291,7 +292,7 @@ func noReplica() *wire.Error {
 // Compile implements service.Backend: one compile down its failover
 // chain, under the front end's deadline for the request.
 func (rt *Router) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.Result, error) {
-	urls, rehashed := rt.order(RoutingKey(req), req.Options)
+	urls, rehashed := rt.order(rt.routingKey(req), req.Options)
 	if rehashed {
 		rt.rehashes.Add(1)
 	}
@@ -320,7 +321,7 @@ func (rt *Router) Batch(ctx context.Context, reqs []wire.CompileRequest, emit fu
 	groups := map[string][]int{}
 	chains := map[string][]string{}
 	for i := range reqs {
-		urls, rehashed := rt.order(RoutingKey(&reqs[i]), reqs[i].Options)
+		urls, rehashed := rt.order(rt.routingKey(&reqs[i]), reqs[i].Options)
 		if rehashed {
 			rt.rehashes.Add(1)
 		}

@@ -233,6 +233,7 @@ func TestRouterErrorParity(t *testing.T) {
 		{"empty batch", "/v1/batch", `{"v":1,"requests":[]}`},
 		{"loop and loop_ref", "/v1/compile", fmt.Sprintf(`{"v":1,"loop_ref":"tomcatv.loop0","loop":%s,"machine_ref":"unified"}`, loop)},
 		{"unknown machine_ref", "/v1/compile", `{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"no-such-machine"}`},
+		{"unknown loop_ref", "/v1/compile", `{"v":1,"loop_ref":"nosuch.loop0","machine_ref":"unified"}`},
 	}
 	for _, tc := range cases {
 		direct := postOutcome(t, c.tss[0].URL, tc.path, tc.body)
@@ -279,15 +280,16 @@ func TestRouterBatchDisconnect(t *testing.T) {
 	// One loop owned by each replica, fast first.
 	owned := map[string]string{}
 	for _, ref := range loopRefs(t, 40) {
-		owner := rt.ring.Owner("ref:" + ref)
+		owner := rt.ring.Owner(rt.loops[ref].Graph.Fingerprint())
 		if owned[owner] == "" {
 			owned[owner] = ref
 		}
 	}
-	if owned["fast"] == "" || owned["slow"] == "" {
+	fast, slow := owned[reps[0].URL], owned[reps[1].URL]
+	if fast == "" || slow == "" {
 		t.Fatalf("40 loops did not cover both replicas: %v", owned)
 	}
-	body := fmt.Sprintf(`{"v":1,"requests":[%s,%s]}`, compileBody(owned["fast"]), compileBody(owned["slow"]))
+	body := fmt.Sprintf(`{"v":1,"requests":[%s,%s]}`, compileBody(fast), compileBody(slow))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

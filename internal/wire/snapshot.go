@@ -7,9 +7,9 @@
 // so restore rebuilds an in-process result whose re-encoding is
 // byte-identical to the original row.  Derived fields the Result DTO
 // spells out (stage count, max_live, iteration_ii) are recomputed from
-// the graph and schedule on load and cross-checked against the row, so
-// a corrupted or hand-edited snapshot fails loudly instead of serving
-// a wrong schedule.
+// the graph and schedule on load and cross-checked against the row,
+// and the schedule itself is re-validated, so a corrupted, hand-edited
+// or poisoned row fails loudly instead of serving a wrong schedule.
 
 package wire
 
@@ -61,8 +61,9 @@ func FromCacheEntry(e pipeline.CacheEntry) *CacheEntry {
 
 // Core rebuilds the in-process cache entry, validating as it goes: the
 // machine must pass Config.Validate, the schedule's shape must fit the
-// graph, and the row's derived fields must match what the rebuilt
-// schedule computes.
+// graph, the row's derived fields must match what the rebuilt schedule
+// computes, and the schedule must pass sched.Validate — an entry from
+// a snapshot or a peer is never trusted to be a legal schedule.
 func (e *CacheEntry) Core() (pipeline.CacheEntry, error) {
 	if werr := CheckVersion(e.V); werr != nil {
 		return pipeline.CacheEntry{}, werr
@@ -78,6 +79,9 @@ func (e *CacheEntry) Core() (pipeline.CacheEntry, error) {
 		return pipeline.CacheEntry{}, fmt.Errorf("cache entry %q: %w", e.Key, werr)
 	}
 	res, err := e.Result.Core(e.Graph, cfg)
+	if err == nil {
+		err = sched.Validate(res.Schedule)
+	}
 	if err != nil {
 		return pipeline.CacheEntry{}, fmt.Errorf("cache entry %q: %w", e.Key, err)
 	}
@@ -243,11 +247,11 @@ func EncodeCacheEntry(w io.Writer, e pipeline.CacheEntry) error {
 	return enc.Encode(FromCacheEntry(e))
 }
 
-// DecodeCacheEntry reads one snapshot row (strict: unknown fields and
-// trailing garbage rejected) and rebuilds the in-process entry.
-func DecodeCacheEntry(data []byte) (pipeline.CacheEntry, error) {
+// DecodeCacheEntry reads one snapshot row or peer answer (strict:
+// unknown fields and trailing garbage rejected) and rebuilds the entry.
+func DecodeCacheEntry(r io.Reader) (pipeline.CacheEntry, error) {
 	var row CacheEntry
-	if err := DecodeStrict(bytes.NewReader(data), &row); err != nil {
+	if err := DecodeStrict(r, &row); err != nil {
 		return pipeline.CacheEntry{}, err
 	}
 	return row.Core()
@@ -290,7 +294,7 @@ func LoadCache(r io.Reader, p *pipeline.Pipeline) (int, error) {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		e, err := DecodeCacheEntry(sc.Bytes())
+		e, err := DecodeCacheEntry(bytes.NewReader(sc.Bytes()))
 		if err != nil {
 			return seeded, fmt.Errorf("snapshot line %d: %w", line, err)
 		}
