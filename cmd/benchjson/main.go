@@ -10,24 +10,9 @@
 // scripts/bench_sched.sh wraps this to produce the BENCH_sched.json
 // perf-trajectory artefact.
 //
-// -check also validates the service-level artefact the load harness
-// emits: `benchjson -check BENCH_service.json -schema service` decodes
-// the document strictly against internal/loadgen's Report shape and
-// runs its schema validation (accounting identity, monotone
-// percentiles, consistent hit rate), so scripts/bench_service.sh and CI
-// share one gate with the scheduler artefact.
+// -check validates a previously emitted document instead:
 //
-// -compare gates one service artefact against another from the same
-// pinned arrival rate:
-//
-//	benchjson -compare -schema service -old BENCH_single.json -new BENCH_cluster.json \
-//	  -min-goodput-ratio 1.5 -max-p99-ratio 1.0 -min-hit-delta 0.05
-//
-// Both documents must validate individually and carry identical
-// offered_qps — goodput and tail comparisons only mean something when
-// the two runs saw the same offered load.  The gate fails (exit 1)
-// when new goodput falls below the floor, new p99 exceeds the ceiling,
-// or the cache hit rate did not improve by the required delta.
+//	benchjson -check BENCH_sched.json [-require names]
 package main
 
 import (
@@ -41,8 +26,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/loadgen"
 )
 
 // Entry is one benchmark's aggregated result.
@@ -81,54 +64,14 @@ func main() {
 	baseline := flag.String("baseline", "", "previous `go test -bench` output to compare against")
 	require := flag.String("require", "", "comma-separated benchmark `names` that must be present with non-zero iterations")
 	check := flag.String("check", "", "validate an existing benchjson `document` instead of converting bench output")
-	schema := flag.String("schema", "bench", "document `schema` for -check/-compare: bench (BENCH_sched.json) or service (BENCH_service.json)")
-	compare := flag.Bool("compare", false, "gate a candidate service artefact (-new) against a baseline (-old) at the same offered_qps")
-	oldPath := flag.String("old", "", "baseline BENCH_service.json `path` for -compare")
-	newPath := flag.String("new", "", "candidate BENCH_service.json `path` for -compare")
-	minGoodput := flag.Float64("min-goodput-ratio", 1.0, "fail unless new goodput_qps >= `ratio` * old goodput_qps")
-	maxP99 := flag.Float64("max-p99-ratio", 0, "fail if new p99_ms > `ratio` * old p99_ms (0 = no ceiling)")
-	minHitDelta := flag.Float64("min-hit-delta", -1, "fail unless new hit_rate - old hit_rate >= `delta` (-1 = no floor)")
 	flag.Parse()
 
-	if *compare {
-		var err error
-		if *schema != "service" {
-			err = fmt.Errorf("-compare only supports -schema service")
-		} else if *oldPath == "" || *newPath == "" {
-			err = fmt.Errorf("-compare needs both -old and -new")
-		} else {
-			err = compareServiceDocs(*oldPath, *newPath, *minGoodput, *maxP99, *minHitDelta)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *check != "" {
-		var err error
-		switch *schema {
-		case "bench":
-			err = checkDoc(*check, *require)
-		case "service":
-			if *require != "" {
-				err = fmt.Errorf("-require lists benchmark names; the service schema has none")
-			} else {
-				err = checkServiceDoc(*check)
-			}
-		default:
-			err = fmt.Errorf("unknown -schema %q (want bench or service)", *schema)
-		}
-		if err != nil {
+		if err := checkDoc(*check, *require); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
 		return
-	}
-	if *schema != "bench" {
-		fmt.Fprintln(os.Stderr, "benchjson: -schema only applies to -check (conversion always emits the bench schema)")
-		os.Exit(1)
 	}
 
 	cur, err := parse(os.Stdin)
@@ -211,91 +154,6 @@ func checkDoc(path, require string) error {
 	if err := checkRequired(doc.Benchmarks, require); err != nil {
 		return fmt.Errorf("%s: %v", path, err)
 	}
-	return nil
-}
-
-// checkServiceDoc validates a BENCH_service.json artefact: strict
-// decode against the loadgen report shape (unknown fields are drift)
-// plus the report's own invariants — every dispatched request settled
-// exactly once, percentiles monotone, cache hit rate consistent.
-func checkServiceDoc(path string) error {
-	_, err := loadServiceDoc(path)
-	return err
-}
-
-// loadServiceDoc strictly decodes and validates one service artefact.
-func loadServiceDoc(path string) (*loadgen.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rep loadgen.Report
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &rep, nil
-}
-
-// compareServiceDocs gates a candidate run against a baseline run.
-// Both artefacts must be individually valid and pin the same
-// offered_qps — an open-loop comparison at different arrival rates
-// measures the load generator, not the service.  The three knobs map
-// to the three regressions a cluster rollout can cause: goodput floor
-// (did sharding actually buy throughput), p99 ceiling (did the extra
-// hop cost the tail), hit-rate delta (did the warm-start/federated
-// cache actually get hotter).
-func compareServiceDocs(oldPath, newPath string, minGoodput, maxP99, minHitDelta float64) error {
-	oldRep, err := loadServiceDoc(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := loadServiceDoc(newPath)
-	if err != nil {
-		return err
-	}
-	if oldRep.OfferedQPS != newRep.OfferedQPS {
-		return fmt.Errorf("offered_qps differs (%s: %v, %s: %v): comparisons require the same pinned arrival rate",
-			oldPath, oldRep.OfferedQPS, newPath, newRep.OfferedQPS)
-	}
-
-	goodputRatio := newRep.GoodputQPS / oldRep.GoodputQPS // Validate guarantees old > 0
-	if goodputRatio < minGoodput {
-		return fmt.Errorf("goodput regression: %v -> %v qps (ratio %.3f < floor %.3f)",
-			oldRep.GoodputQPS, newRep.GoodputQPS, goodputRatio, minGoodput)
-	}
-	p99Ratio := 0.0
-	if oldRep.Latency.P99MS > 0 {
-		p99Ratio = newRep.Latency.P99MS / oldRep.Latency.P99MS
-	}
-	if maxP99 > 0 && oldRep.Latency.P99MS > 0 && p99Ratio > maxP99 {
-		return fmt.Errorf("p99 regression: %vms -> %vms (ratio %.3f > ceiling %.3f)",
-			oldRep.Latency.P99MS, newRep.Latency.P99MS, p99Ratio, maxP99)
-	}
-	hitDelta := 0.0
-	haveHit := oldRep.Cache != nil && newRep.Cache != nil
-	if haveHit {
-		hitDelta = newRep.Cache.HitRate - oldRep.Cache.HitRate
-	}
-	if minHitDelta > -1 {
-		if !haveHit {
-			return fmt.Errorf("-min-hit-delta set but a document has no cache section (old: %v, new: %v)",
-				oldRep.Cache != nil, newRep.Cache != nil)
-		}
-		if hitDelta < minHitDelta {
-			return fmt.Errorf("hit-rate regression: %.4f -> %.4f (delta %.4f < floor %.4f)",
-				oldRep.Cache.HitRate, newRep.Cache.HitRate, hitDelta, minHitDelta)
-		}
-	}
-	fmt.Fprintf(os.Stderr,
-		"benchjson: compare ok at %v qps: goodput %.1f -> %.1f (x%.2f), p99 %.1fms -> %.1fms (x%.2f), hit delta %+.4f\n",
-		newRep.OfferedQPS, oldRep.GoodputQPS, newRep.GoodputQPS, goodputRatio,
-		oldRep.Latency.P99MS, newRep.Latency.P99MS, p99Ratio, hitDelta)
 	return nil
 }
 

@@ -116,50 +116,3 @@ func TestCheckDoc(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
-
-// serviceDoc is a minimal valid BENCH_service.json.
-const serviceDoc = `{
-  "generated": "2026-08-08T00:00:00Z",
-  "go_version": "go1.24",
-  "goos": "linux",
-  "goarch": "amd64",
-  "corpus": 4,
-  "replay": {"qps": 100, "requests": 50, "max_inflight": 64, "attempts": 1, "machine_refs": ["unified"], "seed": 1},
-  "duration_s": 0.5,
-  "sent": 50,
-  "ok": 46,
-  "rejected_429": 2,
-  "deadline_504": 1,
-  "errors": 1,
-  "offered_qps": 100,
-  "goodput_qps": 92,
-  "latency": {"count": 50, "p50_ms": 1, "p90_ms": 2, "p99_ms": 4, "p999_ms": 4, "max_ms": 4},
-  "cache": {"hits": 30, "misses": 20, "dedup_joins": 0, "compilations": 20, "evictions": 0, "hit_rate": 0.6}
-}`
-
-func TestCheckServiceDoc(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "BENCH_service.json")
-	os.WriteFile(good, []byte(serviceDoc), 0o644)
-	if err := checkServiceDoc(good); err != nil {
-		t.Fatalf("valid service document rejected: %v", err)
-	}
-
-	// Broken accounting: sent != ok + 429 + 504 + errors.
-	broken := filepath.Join(dir, "broken.json")
-	os.WriteFile(broken, []byte(strings.Replace(serviceDoc, `"ok": 46`, `"ok": 40`, 1)), 0o644)
-	if err := checkServiceDoc(broken); err == nil || !strings.Contains(err.Error(), "accounting") {
-		t.Fatalf("broken accounting accepted: %v", err)
-	}
-
-	// Schema drift: unknown top-level field.
-	drift := filepath.Join(dir, "drift.json")
-	os.WriteFile(drift, []byte(strings.Replace(serviceDoc, `"corpus": 4`, `"corpus": 4, "surprise": 1`, 1)), 0o644)
-	if err := checkServiceDoc(drift); err == nil || !strings.Contains(err.Error(), "surprise") {
-		t.Fatalf("unknown field accepted: %v", err)
-	}
-
-	if err := checkServiceDoc(filepath.Join(dir, "absent.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}

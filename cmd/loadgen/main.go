@@ -1,66 +1,38 @@
-// Command loadgen is the production load harness front-end: it
-// synthesizes parameterized DDG corpora and replays them against a live
-// schedd in an open loop, emitting the BENCH_service.json artefact.
+// Command loadgen synthesizes parameterized DDG corpora:
 //
-//	loadgen gen    -count 1000 -min-nodes 8 -max-nodes 64 -extra-edges 0.5 -o corpus.ndjson
-//	loadgen replay -server http://127.0.0.1:8080 -corpus corpus.ndjson -qps 200 -duration 10s -o BENCH_service.json
-//	loadgen replay -server http://127.0.0.1:8080 -count 64 -qps 100 -requests 500 -batch 8 -batch-frac 0.25
+//	loadgen gen -count 1000 -min-nodes 8 -max-nodes 64 -extra-edges 0.5 -o corpus.ndjson
 //
 // gen writes the corpus as NDJSON (one loop per line, the wire's inline
 // loop shape); the same spec always produces byte-identical output, so
-// a corpus file in a bug report reproduces exactly.  replay either
-// loads a corpus file (-corpus) or generates one in-process from the
-// same spec flags, then drives arrivals at the configured QPS
-// regardless of completions — queue wait counts into the reported
-// latency percentiles, the way real clients experience overload.
+// a corpus file in a bug report reproduces exactly.  `schedd -prefill`
+// precompiles such a file at boot.  Load is driven by perfbench, the
+// repo's benchmark module, which generates its corpora in-process from
+// the same loadgen.Spec.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
-	"time"
 
-	"repro/internal/client"
-	"repro/internal/corpus"
 	"repro/internal/loadgen"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) < 2 || os.Args[1] != "gen" {
+		fmt.Fprintln(os.Stderr, `usage: loadgen gen [flags]
+Run "loadgen gen -h" for its flags.`)
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "gen":
-		err = runGen(args)
-	case "replay":
-		err = runReplay(args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen %s: %v\n", cmd, err)
+	if err := runGen(os.Args[2:]); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen gen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: loadgen <gen|replay> [flags]
-Run "loadgen <command> -h" for that command's flags.`)
-}
-
-// addSpecFlags registers the corpus-spec knobs shared by gen and
-// replay's in-process generation.
-func addSpecFlags(fs *flag.FlagSet) *loadgen.Spec {
+// runGen synthesizes a corpus and writes it as NDJSON.
+func runGen(args []string) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	s := &loadgen.Spec{}
 	fs.IntVar(&s.Count, "count", 256, "loops to generate")
 	fs.IntVar(&s.MinNodes, "min-nodes", 8, "minimum operations per loop body")
@@ -72,13 +44,6 @@ func addSpecFlags(fs *flag.FlagSet) *loadgen.Spec {
 	fs.IntVar(&s.MaxTrip, "max-trip", 256, "maximum trip count")
 	fs.Uint64Var(&s.Seed, "seed", 1, "corpus seed (same spec + seed = byte-identical NDJSON)")
 	fs.StringVar(&s.Prefix, "prefix", "synth", "loop name prefix")
-	return s
-}
-
-// runGen synthesizes a corpus and writes it as NDJSON.
-func runGen(args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
-	spec := addSpecFlags(fs)
 	out := fs.String("o", "-", "output path (- = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -95,119 +60,10 @@ func runGen(args []string) error {
 	// Stream: each loop is marshalled and written as it is synthesized,
 	// so -count 1000000 runs in constant memory with the same bytes a
 	// materialized Generate would produce.
-	n, err := loadgen.StreamCorpus(w, *spec)
+	n, err := loadgen.StreamCorpus(w, *s)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "loadgen: wrote %d loops\n", n)
-	return nil
-}
-
-// runReplay loads or generates a corpus and races it against schedd.
-func runReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	spec := addSpecFlags(fs)
-	var (
-		server     = fs.String("server", "http://127.0.0.1:8080", "schedd base URL(s), comma-separated")
-		corpusPath = fs.String("corpus", "", "NDJSON corpus file (empty = generate in-process from the spec flags)")
-		qps        = fs.Float64("qps", 100, "open-loop arrival rate, requests per second")
-		duration   = fs.Duration("duration", 10*time.Second, "run length (ignored when -requests > 0)")
-		requests   = fs.Int("requests", 0, "total requests to send (0 = qps * duration)")
-		inflight   = fs.Int("inflight", 256, "client-side concurrency cap (waiting counts into latency)")
-		batch      = fs.Int("batch", 1, "batch envelope size (1 = singles only)")
-		batchFrac  = fs.Float64("batch-frac", 0, "fraction of dispatches using a batch envelope [0,1]")
-		machines   = fs.String("machines", "unified", "machine refs to cycle, comma-separated")
-		scheduler  = fs.String("scheduler", "", "scheduler option for every request")
-		strategy   = fs.String("strategy", "", "cluster-assignment strategy for every request")
-		timeoutMS  = fs.Int("timeout-ms", 0, "per-request server deadline in ms (0 = server default)")
-		attempts   = fs.Int("attempts", 1, "client attempts per request (1 = surface raw 429/504)")
-		degraded   = fs.Bool("allow-degraded", false, "let the server fall back to the baseline compile")
-		replaySeed = fs.Int64("replay-seed", 1, "batch-mix seed")
-		waitReady  = fs.Duration("wait-ready", 0, "poll /readyz up to this long before starting (0 = no wait)")
-		out        = fs.String("o", "-", "BENCH_service.json output path (- = stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	var loops []*corpus.Loop
-	var specInReport *loadgen.Spec
-	if *corpusPath != "" {
-		f, err := os.Open(*corpusPath)
-		if err != nil {
-			return err
-		}
-		loops, err = loadgen.ReadCorpus(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if loops, err = spec.Generate(); err != nil {
-			return err
-		}
-		specInReport = spec
-	}
-
-	endpoints := strings.Split(*server, ",")
-	if *waitReady > 0 {
-		// /readyz, not /healthz: a draining daemon answers /healthz 200
-		// while 503ing every compile, so a health gate can green-light a
-		// replay the server will wholly reject.
-		if err := loadgen.WaitReady(endpoints[0], *waitReady); err != nil {
-			return err
-		}
-	}
-	cl, err := client.New(client.Config{Endpoints: endpoints, Attempts: *attempts, Seed: *replaySeed})
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := loadgen.Replay(ctx, loadgen.ReplayConfig{
-		Client:        cl,
-		QPS:           *qps,
-		Requests:      *requests,
-		Duration:      *duration,
-		MaxInFlight:   *inflight,
-		BatchSize:     *batch,
-		BatchFraction: *batchFrac,
-		MachineRefs:   strings.Split(*machines, ","),
-		Scheduler:     *scheduler,
-		Strategy:      *strategy,
-		TimeoutMS:     *timeoutMS,
-		AllowDegraded: *degraded,
-		Attempts:      *attempts,
-		Seed:          *replaySeed,
-		Spec:          specInReport,
-	}, loops)
-	if err != nil {
-		return err
-	}
-
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if *out == "-" {
-		_, err = os.Stdout.Write(b)
-	} else {
-		err = os.WriteFile(*out, b, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr,
-		"loadgen: sent=%d ok=%d 429=%d 504=%d errors=%d goodput=%.1f qps p50=%.1fms p99=%.1fms\n",
-		rep.Sent, rep.OK, rep.Rejected429, rep.Deadline504, rep.Errors,
-		rep.GoodputQPS, rep.Latency.P50MS, rep.Latency.P99MS)
-	// A run where nothing succeeded is a failed run: CI must not publish
-	// an artefact claiming a trajectory it never measured.
-	if err := rep.Validate(); err != nil {
-		return fmt.Errorf("run produced an invalid artefact: %w", err)
-	}
 	return nil
 }

@@ -8,9 +8,9 @@
 //
 //	vliwsched [flags] loop.ir|bench.loopN
 //
-//	-config unified|2cluster|4cluster   target machine (default 4cluster)
-//	-buses N                            bus count (default 1)
-//	-buslat N                           bus latency (default 1)
+//	-config NAME                        a Table 1 machine: unified,
+//	                                    2-cluster/B1/L1 ... 4-cluster/B2/L2
+//	                                    (default 4-cluster/B1/L1)
 //	-scheduler NAME                     any registered scheduler: bsa (default),
 //	                                    ne (Nystrom-Eichenberger), exact, ...
 //	-strategy NAME                      any registered unroll policy: no_unroll
@@ -20,17 +20,19 @@
 //	-stages                             print the per-stage compile telemetry
 //	-dot                                print the DDG in Graphviz DOT and exit
 //
-// Unknown -scheduler/-strategy names fail with the registered list
-// (the same registry GET /v1/capabilities serves).  Compiling the whole
+// -config takes the machine_ref names schedd, experiments and the
+// scheduler's own error text use.  Unknown -config, -scheduler and
+// -strategy names fail with the valid list (for the last two, the same
+// registry GET /v1/capabilities serves).  Compiling the whole
 // corpus is cmd/experiments' job; its -run corpus prints the suite's
 // per-benchmark statistics.
 //
 // Examples:
 //
-//	vliwsched -config 4cluster -buses 1 -strategy selective tomcatv.loop0
-//	vliwsched -config 4cluster -strategy portfolio -stages tomcatv.loop0
+//	vliwsched -config 4-cluster/B1/L2 -strategy selective tomcatv.loop0
+//	vliwsched -strategy portfolio -stages tomcatv.loop0
 //	vliwsched -dot swim.loop2
-//	vliwsched -config 2cluster loop.ir
+//	vliwsched -config 2-cluster/B2/L2 loop.ir
 package main
 
 import (
@@ -39,6 +41,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -50,9 +53,7 @@ import (
 )
 
 func main() {
-	configName := flag.String("config", "4cluster", "machine: unified, 2cluster or 4cluster")
-	buses := flag.Int("buses", 1, "number of inter-cluster buses")
-	busLat := flag.Int("buslat", 1, "bus latency in cycles")
+	configName := flag.String("config", "4-cluster/B1/L1", "Table 1 machine name (unified, 2-cluster/B1/L1, ..., 4-cluster/B2/L2)")
 	scheduler := flag.String("scheduler", "bsa", "registered scheduler name (bsa, ne, exact, ...)")
 	strategy := flag.String("strategy", "", "registered unroll policy name (no_unroll, unroll_all, selective, portfolio, sweep:<k>, ...)")
 	stages := flag.Bool("stages", false, "print the per-stage compile telemetry")
@@ -87,7 +88,7 @@ func main() {
 		return
 	}
 
-	cfg, err := pickConfig(*configName, *buses, *busLat)
+	cfg, err := configByName(*configName)
 	if err != nil {
 		fatal(err)
 	}
@@ -181,17 +182,17 @@ func printStages(res *core.Result) {
 	}
 }
 
-func pickConfig(name string, buses, busLat int) (machine.Config, error) {
-	switch name {
-	case "unified":
-		return machine.Unified(), nil
-	case "2cluster":
-		return machine.TwoCluster(buses, busLat), nil
-	case "4cluster":
-		return machine.FourCluster(buses, busLat), nil
-	default:
-		return machine.Config{}, fmt.Errorf("unknown config %q (want unified, 2cluster or 4cluster)", name)
+// configByName resolves -config against the Table 1 names; an
+// unknown name fails with the list.
+func configByName(name string) (machine.Config, error) {
+	if cfg, ok := machine.ConfigByName(name); ok {
+		return cfg, nil
 	}
+	var names []string
+	for _, c := range machine.Table1Configs() {
+		names = append(names, c.Name)
+	}
+	return machine.Config{}, fmt.Errorf("unknown config %q (Table 1 names: %s)", name, strings.Join(names, ", "))
 }
 
 func fatal(err error) {

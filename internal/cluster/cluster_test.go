@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -467,6 +468,107 @@ func TestRouterAndPeersAgree(t *testing.T) {
 	}
 	if again, per := c.compilations(); again != total {
 		t.Errorf("non-owner recompiled: %d -> %d (per-replica %v)", total, again, per)
+	}
+}
+
+// TestFleetHoldsWhatOneReplicaCannot: the fleet's aggregate cache
+// holds a working set that one replica's budget cannot.  The corpus
+// at 4-cluster/B1/L1 is sized against a budget B it overflows by half;
+// sent twice to one daemon with budget B, the second pass mostly
+// recompiles what the first evicted, while three peered replicas of
+// budget B each behind the router serve most of it from cache.
+func TestFleetHoldsWhatOneReplicaCannot(t *testing.T) {
+	refs := loopRefs(t, len(corpus.Index(corpus.SPECfp95())))
+
+	// The working set's size, as the pipeline accounts it.
+	probe := service.New(service.Config{Workers: 2})
+	probeTS := httptest.NewServer(probe.Handler())
+	defer probeTS.Close()
+	sendAll(t, probeTS.URL, refs)
+	working := probe.Pipeline().Stats().CachedBytes
+	budget := working * 2 / 3
+
+	hits := func(srvs []*service.Server) (n int64) {
+		for _, srv := range srvs {
+			n += srv.Pipeline().Stats().Hits
+		}
+		return n
+	}
+	// secondPassHitRate sends the set twice and returns the share of
+	// the second pass answered from the pipelines' caches.
+	secondPassHitRate := func(base string, srvs []*service.Server) float64 {
+		sendAll(t, base, refs)
+		before := hits(srvs)
+		sendAll(t, base, refs)
+		return float64(hits(srvs)-before) / float64(len(refs))
+	}
+
+	single := service.New(service.Config{Workers: 2, CacheBytes: budget})
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+	singleRate := secondPassHitRate(singleTS.URL, []*service.Server{single})
+
+	front, fleet := newPinnedFleet(t, budget)
+	fleetRate := secondPassHitRate(front, fleet)
+
+	t.Logf("%d loops, %d bytes against a %d-byte budget: second-pass hit rate single %.3f, fleet of 3 %.3f",
+		len(refs), working, budget, singleRate, fleetRate)
+	if fleetRate-singleRate < 0.2 {
+		t.Errorf("fleet hit rate %.3f beats one replica's %.3f by %.3f, want at least 0.2",
+			fleetRate, singleRate, fleetRate-singleRate)
+	}
+}
+
+// newPinnedFleet boots three replicas with the given cache budget,
+// peered as cmd/schedd -peers/-peer-self wire them, behind a router,
+// and returns the router's URL.  The ring hashes replica URLs, and
+// httptest picks fresh ports every run, so the members are fixed
+// loopback URLs that the router's transport dials through to the real
+// listeners: the corpus splits across the fleet the same way each run.
+// Every routed key reaches its owner, which never asks a peer, so the
+// replicas' own peer transport never dials the fixed URLs.
+func newPinnedFleet(t *testing.T, cacheBytes int64) (string, []*service.Server) {
+	t.Helper()
+	urls := []string{"http://127.0.0.11", "http://127.0.0.12", "http://127.0.0.13"}
+	dial := map[string]string{} // fixed member's host:port -> listener
+	var reps []Replica
+	var srvs []*service.Server
+	for i, u := range urls {
+		srv := service.New(service.Config{Workers: 2, CacheBytes: cacheBytes})
+		pl, err := NewPeerLookup(PeerConfig{Self: u, Peers: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Pipeline().SetPeerLookup(pl.Func())
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		dial[strings.TrimPrefix(u, "http://")+":80"] = ts.Listener.Addr().String()
+		reps = append(reps, Replica{Name: fmt.Sprintf("s%d", i+1), URL: u})
+		srvs = append(srvs, srv)
+	}
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return (&net.Dialer{}).DialContext(ctx, network, dial[addr])
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	rt, err := NewRouter(RouterConfig{Replicas: reps, HTTP: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ready := rt.Probe(context.Background()); ready != len(urls) {
+		t.Fatalf("probe found %d/%d replicas ready", ready, len(urls))
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	return front.URL, srvs
+}
+
+// sendAll compiles every ref at base, failing on any error answer.
+func sendAll(t *testing.T, base string, refs []string) {
+	t.Helper()
+	for _, ref := range refs {
+		if _, status, werr := postCompile(t, base, ref); werr != nil {
+			t.Fatalf("%s: HTTP %d %v", ref, status, werr)
+		}
 	}
 }
 

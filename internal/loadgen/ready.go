@@ -1,5 +1,5 @@
-// Readiness polling for scripts that boot schedd and immediately
-// replay against it.  The probe is /readyz, not /healthz: a draining
+// Readiness polling for drivers that boot schedd and immediately send
+// load to it.  The probe is /readyz, not /healthz: a draining
 // daemon keeps answering /healthz 200 while refusing every new compile
 // (503 draining), so a /healthz gate can declare "up" a server that
 // will reject the entire run — the drain race the readiness test pins.

@@ -1,19 +1,14 @@
-// Package loadgen is the production load harness: a parameterized
-// corpus generator that synthesizes DDG families at scale on top of
-// ddg.Synth, an NDJSON corpus format so generated workloads reproduce
-// exactly and replay across processes, and an open-loop traffic
-// replayer that drives a live schedd through internal/client while
-// recording the service-level numbers BENCH_service.json tracks:
-// latency percentiles from the response stream, cache hit rate,
-// eviction churn, admission 429s, deadline 504s and goodput.
+// Package loadgen generates the synthetic loop corpora the load tests
+// send: a parameterized generator that synthesizes DDG families at
+// scale on top of ddg.Synth, an NDJSON corpus format so a generated
+// workload reproduces exactly across processes, and WaitReady, the
+// /readyz poll a driver runs before it starts the clock.
 //
 // The pattern follows elastic-package's `benchmark generate-corpus` →
-// rally-track flow: generate a corpus from a spec (or load a previously
-// generated NDJSON file), then race it against the service at a
-// configured arrival rate.  Open loop means arrivals keep their
-// schedule regardless of completions — queue wait counts into latency —
-// so the measured percentiles reflect what real clients would see
-// under that offered load, not what a closed feedback loop would admit.
+// rally-track flow: one generator and one driver.  This package is the
+// generator; perfbench (the repo's benchmark module) is the driver, and
+// `schedd -prefill` warms a daemon from a corpus file `loadgen gen`
+// wrote.
 package loadgen
 
 import (
