@@ -26,8 +26,8 @@
 // win, so the race's outcome is deterministic and cacheable.
 //
 // All batch compilation flows through internal/pipeline, a concurrent
-// subsystem pairing a sharded, singleflight-deduplicated compile cache
-// with a bounded worker pool: each (loop, machine, options) key is
+// subsystem pairing a singleflight-deduplicated compile cache with a
+// bounded worker pool: each (loop, machine, options) key is
 // compiled exactly once per pipeline, batches fan out across
 // GOMAXPROCS workers with deterministic result ordering, and a Stats
 // snapshot reports hits, misses, dedup joins, unroll fallbacks and

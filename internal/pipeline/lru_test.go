@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,39 +16,25 @@ import (
 	"repro/internal/machine"
 )
 
-// sameShardRequests builds n distinct cacheable requests whose keys all
-// land in one shard, with equal key lengths so every entry costs the
-// same.  The loop names are fixed-width, so key length never varies.
-func sameShardRequests(t *testing.T, n int) []Request {
-	t.Helper()
-	cfg := machine.TwoCluster(1, 1)
-	byShard := map[int][]Request{}
-	for i := 0; len(byShard[0]) < n && i < 100000; i++ {
-		g := ddg.SampleChain(3)
-		g.Name = fmt.Sprintf("lru-%06d", i)
-		req := Request{Loop: &corpus.Loop{Graph: g, Iters: 8, Weight: 1, Bench: "t"}, Cfg: cfg}
-		s := shardOf(req.key())
-		byShard[s] = append(byShard[s], req)
-	}
-	if len(byShard[0]) < n {
-		t.Fatalf("could not find %d same-shard keys", n)
-	}
-	return byShard[0][:n]
-}
-
 // stubResult is what the stub compiles return: a fixed-size result so
 // entry costs are predictable.
 func stubResult() *core.Result { return &core.Result{Factor: 1} }
 
-// TestLRUEvictionOrder fills one shard past its byte budget and checks
+// TestLRUEvictionOrder fills the cache past its byte budget and checks
 // the least recently used completed entries go first, that a cache hit
 // refreshes recency, that Stats counts the evictions, and that an
 // evicted key recompiles.
 func TestLRUEvictionOrder(t *testing.T) {
-	reqs := sameShardRequests(t, 4)
+	// Fixed-width loop names keep every key, and so every entry, the
+	// same size.
+	cfg := machine.TwoCluster(1, 1)
+	reqs := make([]Request, 4)
 	keys := make([]string, len(reqs))
-	for i, r := range reqs {
-		keys[i] = r.key()
+	for i := range reqs {
+		g := ddg.SampleChain(3)
+		g.Name = fmt.Sprintf("lru-%d", i)
+		reqs[i] = Request{Loop: &corpus.Loop{Graph: g, Iters: 8, Weight: 1, Bench: "t"}, Cfg: cfg}
+		keys[i] = reqs[i].key()
 	}
 	perEntry := entryBytes(keys[0], stubResult())
 	for _, k := range keys {
@@ -62,15 +49,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 		compiled[l.Graph.Name]++
 		return stubResult(), nil
 	})
-	var evicted []string
-	p.SetEvictHook(func(key string, bytes int64) {
-		if bytes != perEntry {
-			t.Errorf("evicted %q with %d bytes, want %d", key, bytes, perEntry)
-		}
-		evicted = append(evicted, key)
-	})
-	// Budget: each shard holds two entries, not three.
-	p.SetCacheBytes(numShards * (2*perEntry + perEntry/2))
+	// Budget: the cache holds two entries, not three.
+	p.SetCacheBytes(2*perEntry + perEntry/2)
 
 	mustCompile := func(i int) {
 		t.Helper()
@@ -78,33 +58,41 @@ func TestLRUEvictionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// expectCached checks which keys are present.  Peek refreshes the
+	// ones it finds, in the order given, so callers list them oldest
+	// first to leave recency as it was.
+	expectCached := func(evictions int64, present []int, gone ...int) {
+		t.Helper()
+		if n := p.Stats().Evictions; n != evictions {
+			t.Fatalf("%d evictions, want %d", n, evictions)
+		}
+		for _, i := range gone {
+			if _, ok := p.Peek(keys[i]); ok {
+				t.Fatalf("key %d still cached, want it evicted", i)
+			}
+		}
+		for _, i := range present {
+			if _, ok := p.Peek(keys[i]); !ok {
+				t.Fatalf("key %d evicted, want it cached", i)
+			}
+		}
+		if b := p.Stats().CachedBytes; b != int64(len(present))*perEntry {
+			t.Fatalf("CachedBytes = %d, want %d", b, int64(len(present))*perEntry)
+		}
+	}
 
 	mustCompile(0)
 	mustCompile(1)
-	if len(evicted) != 0 {
-		t.Fatalf("evictions before the budget overflowed: %v", evicted)
-	}
+	expectCached(0, []int{0, 1})
 
-	// Third entry overflows the shard: the oldest (0) must go.
+	// Third entry overflows the budget: the oldest (0) must go.
 	mustCompile(2)
-	if len(evicted) != 1 || evicted[0] != keys[0] {
-		t.Fatalf("evicted %v, want exactly [%s]", evicted, keys[0])
-	}
+	expectCached(1, []int{1, 2}, 0)
 
 	// Touch 1 so 2 becomes the LRU, then overflow again: 2 must go.
 	mustCompile(1)
 	mustCompile(3)
-	if len(evicted) != 2 || evicted[1] != keys[2] {
-		t.Fatalf("evicted %v, want second eviction %s", evicted, keys[2])
-	}
-
-	st := p.Stats()
-	if st.Evictions != 2 {
-		t.Errorf("Stats.Evictions = %d, want 2", st.Evictions)
-	}
-	if st.CachedBytes != 2*perEntry {
-		t.Errorf("Stats.CachedBytes = %d, want %d", st.CachedBytes, 2*perEntry)
-	}
+	expectCached(2, []int{1, 3}, 2)
 
 	// The evicted key is gone: asking again recompiles.
 	mustCompile(0)
@@ -116,18 +104,73 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestLRUKeepsTotalUnderBudget hammers a bounded pipeline with far more
-// distinct keys than fit and checks the global bound holds at every
-// step, entries actually churn, and every response is still served.
+// TestLRUKeepsTotalUnderBudget first fills a bounded pipeline with
+// unequal entries to 90% of its budget — one of them larger than a
+// 32nd of it — and checks nothing is evicted until the total overflows:
+// the budget is one pool, not a per-partition share.  It then hammers
+// the pipeline with far more distinct keys than fit and checks the
+// bound holds at every step, entries actually churn, and every
+// response is still served.
 func TestLRUKeepsTotalUnderBudget(t *testing.T) {
 	const maxBytes = 16 << 10
 	p := New(4)
+	// Loops named "big-…" compile to results padded by their Iters, so
+	// the fill phase can pick each entry's size.
+	paddedResult := func(pad int) *core.Result {
+		res := stubResult()
+		res.Decision.FailReason = strings.Repeat("x", pad)
+		return res
+	}
 	p.SetCompile(func(l *corpus.Loop, cfg *machine.Config, opts core.Options) (*core.Result, error) {
+		if strings.HasPrefix(l.Graph.Name, "big-") {
+			return paddedResult(l.Iters), nil
+		}
 		return stubResult(), nil
 	})
 	p.SetCacheBytes(maxBytes)
 
 	cfg := machine.FourCluster(1, 1)
+	padded := func(i, pad int) Request {
+		g := ddg.SampleChain(4)
+		g.Name = fmt.Sprintf("big-%04d", i)
+		return Request{Loop: &corpus.Loop{Graph: g, Iters: pad, Weight: 1, Bench: "t"}, Cfg: cfg}
+	}
+	var filled []string
+	var total int64
+	for i := 0; ; i++ {
+		pad := 40 * (i % 7)
+		if i == 0 {
+			pad = maxBytes / 32 // this entry alone exceeds a 32nd of the budget
+		}
+		req := padded(i, pad)
+		size := entryBytes(req.key(), paddedResult(pad))
+		if total+size > maxBytes*9/10 {
+			break
+		}
+		if _, err := p.Compile(req); err != nil {
+			t.Fatal(err)
+		}
+		filled = append(filled, req.key())
+		total += size
+	}
+	st := p.Stats()
+	if st.Evictions != 0 || st.CachedBytes != total {
+		t.Fatalf("filled %d entries / %d bytes of a %d budget: %d evictions, %d bytes cached; want 0 evictions, all cached",
+			len(filled), total, maxBytes, st.Evictions, st.CachedBytes)
+	}
+	for i, k := range filled {
+		if _, ok := p.Peek(k); !ok {
+			t.Fatalf("fill entry %d evicted under budget", i)
+		}
+	}
+	if _, err := p.Compile(padded(len(filled), maxBytes/5)); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Evictions == 0 || st.CachedBytes > maxBytes {
+		t.Fatalf("overflowing entry: %d evictions, %d bytes cached; want evictions back under %d",
+			st.Evictions, st.CachedBytes, maxBytes)
+	}
+
 	var reqs []Request
 	for i := 0; i < 400; i++ {
 		g := ddg.SampleChain(4)
@@ -144,18 +187,15 @@ func TestLRUKeepsTotalUnderBudget(t *testing.T) {
 			}
 		}
 	}
-	st := p.Stats()
+	st = p.Stats()
 	if st.CachedBytes > maxBytes {
 		t.Errorf("CachedBytes = %d over the %d budget", st.CachedBytes, maxBytes)
 	}
 	if st.Evictions == 0 {
 		t.Error("no evictions despite overflowing the budget")
 	}
-	if p.Len() >= len(reqs) {
-		t.Errorf("Len() = %d, want far fewer than %d distinct keys", p.Len(), len(reqs))
-	}
-	if int64(p.Len()) != st.CachedEntries {
-		t.Errorf("Len() = %d but Stats.CachedEntries = %d", p.Len(), st.CachedEntries)
+	if st.CachedEntries >= int64(len(reqs)) {
+		t.Errorf("CachedEntries = %d, want far fewer than %d distinct keys", st.CachedEntries, len(reqs))
 	}
 }
 
@@ -290,8 +330,8 @@ func TestMaxConcurrentCompiles(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("capped compile started anyway (%d calls)", n)
 	}
-	if p.Len() != 1 {
-		t.Errorf("slotless attempt left a cache entry (Len %d, want 1)", p.Len())
+	if n := p.Stats().CachedEntries; n != 1 {
+		t.Errorf("slotless attempt left a cache entry (%d entries, want 1)", n)
 	}
 
 	close(release)

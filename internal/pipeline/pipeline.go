@@ -1,5 +1,5 @@
 // Package pipeline is the concurrent batch-compilation subsystem: a
-// sharded, deduplicating compile cache in front of core.Compile plus a
+// deduplicating compile cache in front of core.Compile plus a
 // bounded worker pool that fans batches of compile requests out across
 // CPUs while preserving result order.
 //
@@ -10,12 +10,12 @@
 // many goroutines ask, and a batch of independent compilations uses
 // every core.
 //
-// Concurrency model: the cache is split into shards, each guarded by
-// its own mutex, so concurrent requests for different keys rarely
-// contend.  The first request for a key claims an in-flight entry and
-// compiles on a detached goroutine; later requests for the same key
-// join that entry (singleflight) and block on its done channel until
-// the result lands.  Results — including errors, since compilation is
+// Concurrency model: one mutex guards the key map, the LRU list and
+// the byte total; it is held only for map and list updates, never
+// across a compile.  The first request for a key claims an in-flight
+// entry and compiles on a detached goroutine; later requests for the
+// same key join that entry (singleflight) and block on its done
+// channel until the result lands.  Results — including errors, since compilation is
 // deterministic — are cached; loops are identified by their content
 // fingerprint (ddg.Graph.Fingerprint), so structurally identical loops
 // deduplicate even when they arrive as distinct decoded objects.
@@ -26,9 +26,9 @@
 // Long-running use (the service daemon) adds two facilities batch runs
 // don't need: CompileCtx respects a context deadline — the caller
 // unblocks at expiry while the shared compile runs to completion and is
-// cached for the next asker — and SetCacheBytes bounds the cache with a
-// per-shard LRU so a daemon's memory stays flat under an endless
-// request stream (evictions are visible in Stats).
+// cached for the next asker — and SetCacheBytes bounds the cache with
+// an LRU over one byte total, so a daemon's memory stays flat under an
+// endless request stream (evictions are visible in Stats).
 package pipeline
 
 import (
@@ -36,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,10 +46,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 )
-
-// numShards splits the cache; 32 is comfortably above any worker count
-// this library runs with.
-const numShards = 32
 
 // Request identifies one compilation: a loop, a target machine and the
 // compile options.
@@ -122,8 +117,9 @@ type Stats struct {
 	// PeerHits counts misses satisfied by a peer's cache over the
 	// cluster federation path instead of a local compile.
 	PeerHits int64
-	// Seeded counts entries inserted from outside a compile: snapshot
-	// restore on warm-start, corpus prefill.
+	// Seeded counts entries inserted by Seed, i.e. restored from a
+	// warm-start snapshot.  Prefill compiles through CompileBatch, so it
+	// counts as misses and compilations, never here.
 	Seeded int64
 	// Evictions counts completed entries dropped by the LRU byte bound
 	// (zero on an unbounded pipeline).
@@ -132,7 +128,7 @@ type Stats struct {
 	// entries (see SetCacheBytes for the accounting model).
 	CachedBytes int64
 	// CachedEntries is the current number of cache entries, completed or
-	// in flight (== Len()).
+	// in flight.
 	CachedEntries int64
 	// CompileTime is total time spent inside core.Compile, summed over
 	// workers (it exceeds wall time when workers overlap).
@@ -164,27 +160,21 @@ type entry struct {
 	bytes int64
 }
 
-// shard is one cache partition: a key-indexed LRU list of entries plus
-// the byte total of its completed ones.
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element // value: *entry; front = most recent
-	lru     *list.List
-	bytes   int64
-}
-
 // Pipeline is a concurrent compile cache with a bounded worker pool.
 // It is safe for use by any number of goroutines.
 type Pipeline struct {
 	workers int
 	compile CompileFunc
 
-	shards [numShards]shard
+	// mu guards the cache: a key-indexed LRU list of entries plus the
+	// byte total of the completed ones.
+	mu      sync.Mutex
+	entries map[string]*list.Element // value: *entry; front = most recent
+	lru     *list.List
+	bytes   int64
 
 	// maxBytes > 0 bounds the cache (see SetCacheBytes).
 	maxBytes atomic.Int64
-	// onEvict, when non-nil, observes evictions (see SetEvictHook).
-	onEvict func(key string, bytes int64)
 	// fillSem, when non-nil, caps concurrently running compiles (see
 	// SetMaxConcurrentCompiles): a slot is acquired before an entry is
 	// claimed and released when its fill goroutine finishes.
@@ -205,31 +195,20 @@ func New(workers int) *Pipeline {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pipeline{workers: workers, compile: compileOne}
-	for i := range p.shards {
-		p.shards[i].entries = map[string]*list.Element{}
-		p.shards[i].lru = list.New()
-	}
-	return p
+	return &Pipeline{workers: workers, compile: compileOne,
+		entries: map[string]*list.Element{}, lru: list.New()}
 }
 
 // Workers returns the batch pool size.
 func (p *Pipeline) Workers() int { return p.workers }
 
-// SetCacheBytes bounds the completed-entry cache to roughly n bytes,
-// split evenly across the shards; each shard evicts its least recently
-// used completed entries once its share overflows, so the global total
-// never exceeds n.  Entry sizes are an estimate of resident memory
-// (key, result, schedule tables and the retained graph).  n <= 0 means
+// SetCacheBytes bounds the completed-entry cache to n bytes: once the
+// total overflows, the least recently used completed entries are
+// evicted until it is back under n.  Entry sizes are an estimate of
+// resident memory (key, result, schedule tables and the retained graph).  n <= 0 means
 // unbounded — the default, and what one-shot experiment runs want.
 // In-flight entries are never evicted.
 func (p *Pipeline) SetCacheBytes(n int64) { p.maxBytes.Store(n) }
-
-// SetEvictHook registers fn to observe every LRU eviction (key and
-// estimated bytes).  fn runs with the shard lock held, so it must be
-// fast and must not reenter the pipeline.  Call before serving traffic;
-// nil unregisters.  Tests and metrics exporters use this.
-func (p *Pipeline) SetEvictHook(fn func(key string, bytes int64)) { p.onEvict = fn }
 
 // SetCompile replaces the compile function (default: core.Compile with
 // the unroll fallback).  Call before serving traffic.  Tests use this
@@ -287,12 +266,6 @@ func compileOne(l *corpus.Loop, cfg *machine.Config, opts core.Options) (*core.R
 	return res, err
 }
 
-func shardOf(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % numShards)
-}
-
 // Compile resolves one request through the cache: a completed entry is
 // a hit, an in-flight entry is joined, and a fresh key compiles exactly
 // once no matter how many goroutines race for it.
@@ -320,15 +293,14 @@ func (p *Pipeline) CompileCtx(ctx context.Context, req Request) (*core.Result, e
 		return p.run(req)
 	}
 	key := req.key()
-	sh := &p.shards[shardOf(key)]
 
 	haveSlot := false
 	for {
-		sh.mu.Lock()
-		if el, ok := sh.entries[key]; ok {
-			sh.lru.MoveToFront(el)
+		p.mu.Lock()
+		if el, ok := p.entries[key]; ok {
+			p.lru.MoveToFront(el)
 			e := el.Value.(*entry)
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			if haveSlot {
 				<-p.fillSem // lost the claim race; join instead
 			}
@@ -348,12 +320,12 @@ func (p *Pipeline) CompileCtx(ctx context.Context, req Request) (*core.Result, e
 		}
 		if p.fillSem == nil || haveSlot {
 			e := &entry{key: key, done: make(chan struct{})}
-			sh.entries[key] = sh.lru.PushFront(e)
-			sh.mu.Unlock()
+			p.entries[key] = p.lru.PushFront(e)
+			p.mu.Unlock()
 
 			p.misses.Add(1)
 			go func() {
-				p.fill(sh, e, req)
+				p.fill(e, req)
 				if haveSlot {
 					<-p.fillSem
 				}
@@ -368,7 +340,7 @@ func (p *Pipeline) CompileCtx(ctx context.Context, req Request) (*core.Result, e
 		}
 		// Capped: wait for a compile slot before claiming the key, so an
 		// expired deadline aborts here without spawning anything.
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		select {
 		case p.fillSem <- struct{}{}:
 			haveSlot = true
@@ -380,14 +352,14 @@ func (p *Pipeline) CompileCtx(ctx context.Context, req Request) (*core.Result, e
 
 // fill completes an in-flight entry: compile, publish the result (the
 // close happens-before every waiter's read), account the bytes and
-// evict whatever the new entry pushed over the shard's budget.
+// evict whatever the new entry pushed over the byte budget.
 //
 // Transient failures — recovered panics, injected faults — are
 // published to the waiters but never cached: the entry is removed
 // before the done channel closes, so the next request for the key
 // compiles afresh instead of replaying a fault forever.  Deterministic
 // compile errors stay cached as before.
-func (p *Pipeline) fill(sh *shard, e *entry, req Request) {
+func (p *Pipeline) fill(e *entry, req Request) {
 	var res *core.Result
 	var err error
 	// Federation: a miss costs one intra-cluster lookup before it costs
@@ -403,38 +375,37 @@ func (p *Pipeline) fill(sh *shard, e *entry, req Request) {
 	if res == nil {
 		res, err = p.run(req)
 	}
-	sh.mu.Lock()
+	p.mu.Lock()
 	e.res, e.err = res, err
 	if err != nil && engine.Transient(err) {
-		if el, ok := sh.entries[e.key]; ok && el.Value.(*entry) == e {
-			sh.lru.Remove(el)
-			delete(sh.entries, e.key)
+		if el, ok := p.entries[e.key]; ok && el.Value.(*entry) == e {
+			p.lru.Remove(el)
+			delete(p.entries, e.key)
 		}
 		close(e.done)
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
 	e.bytes = entryBytes(e.key, res)
-	sh.bytes += e.bytes
+	p.bytes += e.bytes
 	// Evict before publishing: a caller returning from this entry then
-	// observes every side effect (stats, hooks) of the insertion.
-	p.evictLocked(sh)
+	// observes every side effect (stats, evictions) of the insertion.
+	p.evictLocked()
 	close(e.done)
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // evictLocked drops least-recently-used completed entries until the
-// shard is back under its share of the byte budget.  In-flight entries
-// (bytes == 0) are skipped: their cost is unknown and waiters hold
-// their done channel.
-func (p *Pipeline) evictLocked(sh *shard) {
+// cache is back under the byte budget.  In-flight entries (bytes == 0)
+// are skipped: their cost is unknown and waiters hold their done
+// channel.
+func (p *Pipeline) evictLocked() {
 	maxBytes := p.maxBytes.Load()
 	if maxBytes <= 0 {
 		return
 	}
-	budget := maxBytes / numShards
-	for sh.bytes > budget {
-		el := sh.lru.Back()
+	for p.bytes > maxBytes {
+		el := p.lru.Back()
 		for el != nil && el.Value.(*entry).bytes == 0 {
 			el = el.Prev()
 		}
@@ -442,13 +413,10 @@ func (p *Pipeline) evictLocked(sh *shard) {
 			return
 		}
 		e := el.Value.(*entry)
-		sh.lru.Remove(el)
-		delete(sh.entries, e.key)
-		sh.bytes -= e.bytes
+		p.lru.Remove(el)
+		delete(p.entries, e.key)
+		p.bytes -= e.bytes
 		p.evictions.Add(1)
-		if p.onEvict != nil {
-			p.onEvict(e.key, e.bytes)
-		}
 	}
 }
 
@@ -567,13 +535,9 @@ feed:
 
 // Stats snapshots the counters.
 func (p *Pipeline) Stats() Stats {
-	var bytes, entries int64
-	for i := range p.shards {
-		p.shards[i].mu.Lock()
-		bytes += p.shards[i].bytes
-		entries += int64(len(p.shards[i].entries))
-		p.shards[i].mu.Unlock()
-	}
+	p.mu.Lock()
+	bytes, entries := p.bytes, int64(len(p.entries))
+	p.mu.Unlock()
 	return Stats{
 		Hits:          p.hits.Load(),
 		Misses:        p.misses.Load(),
@@ -597,32 +561,18 @@ func (p *Pipeline) Stats() Stats {
 // operator/chaos action (cache-churn fault injection, manual cache
 // reset), not byte-budget pressure.
 func (p *Pipeline) Purge() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; {
-			prev := el.Prev()
-			if e := el.Value.(*entry); e.bytes > 0 {
-				sh.lru.Remove(el)
-				delete(sh.entries, e.key)
-				sh.bytes -= e.bytes
-				n++
-			}
-			el = prev
+	for el := p.lru.Back(); el != nil; {
+		prev := el.Prev()
+		if e := el.Value.(*entry); e.bytes > 0 {
+			p.lru.Remove(el)
+			delete(p.entries, e.key)
+			p.bytes -= e.bytes
+			n++
 		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Len returns the number of cached entries (completed or in flight).
-func (p *Pipeline) Len() int {
-	n := 0
-	for i := range p.shards {
-		p.shards[i].mu.Lock()
-		n += len(p.shards[i].entries)
-		p.shards[i].mu.Unlock()
+		el = prev
 	}
 	return n
 }

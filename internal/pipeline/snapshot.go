@@ -54,21 +54,18 @@ func (p *Pipeline) SetPeerLookup(fn PeerLookupFunc) { p.peerLookup = fn }
 // and cached errors are skipped.
 func (p *Pipeline) Export() []CacheEntry {
 	var out []CacheEntry
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.bytes == 0 { // in flight
-				continue
-			}
-			if e.err != nil || e.res == nil {
-				continue
-			}
-			out = append(out, CacheEntry{Key: e.key, Res: e.res})
+	p.mu.Lock()
+	for el := p.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		if e.bytes == 0 { // in flight
+			continue
 		}
-		sh.mu.Unlock()
+		if e.err != nil || e.res == nil {
+			continue
+		}
+		out = append(out, CacheEntry{Key: e.key, Res: e.res})
 	}
+	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
@@ -82,19 +79,18 @@ func (p *Pipeline) Seed(key string, res *core.Result) bool {
 	if res == nil {
 		return false
 	}
-	sh := &p.shards[shardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[key]; ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.entries[key]; ok {
 		return false
 	}
 	e := &entry{key: key, done: make(chan struct{}), res: res}
 	e.bytes = entryBytes(key, res)
 	close(e.done)
-	sh.entries[key] = sh.lru.PushFront(e)
-	sh.bytes += e.bytes
+	p.entries[key] = p.lru.PushFront(e)
+	p.bytes += e.bytes
 	p.seeded.Add(1)
-	p.evictLocked(sh)
+	p.evictLocked()
 	return true
 }
 
@@ -103,10 +99,9 @@ func (p *Pipeline) Seed(key string, res *core.Result) bool {
 // entry is touched (moved to most-recent) but the hit/miss counters are
 // not: peer traffic must not masquerade as local cache performance.
 func (p *Pipeline) Peek(key string) (*core.Result, bool) {
-	sh := &p.shards[shardOf(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	el, ok := p.entries[key]
 	if !ok {
 		return nil, false
 	}
@@ -119,6 +114,6 @@ func (p *Pipeline) Peek(key string) (*core.Result, bool) {
 	if e.err != nil || e.res == nil {
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	p.lru.MoveToFront(el)
 	return e.res, true
 }

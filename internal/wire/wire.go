@@ -394,9 +394,9 @@ type PipelineStats struct {
 	// engine_panic wire errors).  Optional (v1 growth).
 	Panics int64 `json:"panics,omitempty"`
 	// PeerHits counts misses satisfied by a cluster peer's cache
-	// instead of a local compile; Seeded counts entries inserted from a
-	// warm-start snapshot or corpus prefill.  Optional (v1 growth),
-	// zero outside cluster mode.
+	// instead of a local compile; Seeded counts entries restored from a
+	// warm-start snapshot (-prefill compiles, so it counts as misses).
+	// Optional (v1 growth), zero outside cluster mode.
 	PeerHits int64 `json:"peer_hits,omitempty"`
 	Seeded   int64 `json:"seeded,omitempty"`
 	// HitRate is Hits / (Hits + Misses), 0 when no lookups have
