@@ -10,13 +10,15 @@
 // The codec is written by hand over internal/jsonx; it runs on every
 // compile request, where encoding/json's reflection cost more than the
 // cache hit it leads to.  It keeps encoding/json's observable
-// behaviour, which the differential fuzz target FuzzDecodeCompileRequest
-// (internal/wire) checks against the reflective codec it replaced:
+// behaviour, which the differential fuzz targets FuzzDecodeCompileRequest
+// and FuzzDecodeBatchRequest (internal/wire) check against the
+// reflective codec it replaced:
 //
 //   - MarshalJSON writes exactly what json.Marshal writes for the
 //     graphJSON DTO, HTML escaping included.
-//   - UnmarshalJSON is strict: an unknown field in the graph, a node or
-//     an edge is an error, never a silently zeroed latency.
+//   - UnmarshalJSON and DecodeJSON are strict: an unknown field in the
+//     graph, a node or an edge is an error, never a silently zeroed
+//     latency.
 //   - Keys match case-insensitively (bytes.EqualFold).  When a key
 //     repeats, the last value wins, and a repeated array decodes over
 //     the earlier one's elements without zeroing them.
@@ -199,19 +201,39 @@ func (g *Graph) AppendJSON(dst []byte) []byte {
 }
 
 // UnmarshalJSON decodes a graph from the wire shape in one pass and
-// validates it; a graph that fails Validate (unknown op, out-of-range
-// edge, negative distance, distance-0 cycle) is rejected.  Decoding is
-// strict and follows encoding/json's rules (see the file comment), so
-// it behaves the same under a lenient outer json.Unmarshal as under
-// wire.DecodeStrict.
+// validates it, as DecodeJSON does.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var in graphJSON
 	d := jsonx.NewDecoder(data)
+	g.DecodeJSON(d)
+	return d.End()
+}
+
+// DecodeJSON decodes one graph value from d into g and validates it; a
+// graph that fails Validate (unknown op, out-of-range edge, negative
+// distance, distance-0 cycle) is rejected, and every failure becomes
+// d's error.  Decoding is strict and follows encoding/json's rules
+// (see the file comment), whatever the decoder around the graph does
+// with its own fields.  The wire request decoders call it on their own
+// decoder, so the graph's bytes are scanned once, in place.
+func (g *Graph) DecodeJSON(d *jsonx.Decoder) {
+	var in graphJSON
 	in.decode(d)
-	if err := d.End(); err != nil {
-		return err
+	if d.Err() != nil {
+		return
 	}
+	if err := g.build(&in); err != nil {
+		d.Fail(err)
+	}
+}
+
+// build replaces g's contents with the decoded wire shape in, checking
+// every index and the result.
+func (g *Graph) build(in *graphJSON) error {
 	dec := New(in.Name)
+	dec.nodes = make([]*Node, 0, len(in.Nodes))
+	dec.out = make([][]*Edge, 0, len(in.Nodes))
+	dec.in = make([][]*Edge, 0, len(in.Nodes))
+	dec.edges = make([]*Edge, 0, len(in.Edges))
 	if in.UnrollFactor != 0 {
 		dec.UnrollFactor = in.UnrollFactor
 	}

@@ -1,11 +1,14 @@
 // Package jsonx is the scanner and appender behind the hand-written
-// wire codecs: ddg.Graph's JSON codec and internal/wire's request
-// encoder and response decoders.  Those codecs replace encoding/json's
-// reflection on the compile path, so this package reproduces what
-// encoding/json does for the shapes they handle:
+// wire codecs: ddg.Graph's JSON codec and internal/wire's request and
+// response codecs.  Those codecs replace encoding/json's reflection on
+// the compile path, so this package reproduces what encoding/json does
+// for the shapes they handle:
 //
 //   - AppendString escapes exactly as json.Marshal does, HTML escaping
 //     included: <, > and & go out as six-byte \u escapes.
+//     AppendStringNoHTML escapes as a json.Encoder with
+//     SetEscapeHTML(false) does, writing them as they are.
+//   - AppendFloat writes a finite float64 as encoding/json does.
 //   - Decoder accepts exactly the syntax json.Unmarshal accepts, nesting
 //     capped at the same depth.  It unquotes strings as json.Unmarshal
 //     does: invalid UTF-8 and unpaired surrogates become U+FFFD.
@@ -13,8 +16,9 @@
 //     exactly, else case-insensitively per bytes.EqualFold.
 //   - Int rejects a fraction, an exponent or an out-of-range value;
 //     every scalar reader leaves its target unchanged on null.
-//   - Slice and Ptr decode into slices and pointers as json.Unmarshal
-//     does, including its reuse of existing elements and targets.
+//   - Slice, Array and Ptr decode into slices, arrays and pointers as
+//     json.Unmarshal does, including its reuse of existing elements and
+//     targets.
 //
 // A Decoder keeps its first error and turns every later call into a
 // no-op, so a codec reads straight through and checks End once.
@@ -24,6 +28,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -63,6 +68,14 @@ func (d *Decoder) End() error {
 	}
 	return d.err
 }
+
+// Err returns the decoder's first error, without End's check for
+// trailing data.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records err as the decoder's error unless one is already set:
+// a codec reports a value that parses but does not validate this way.
+func (d *Decoder) Fail(err error) { d.fail(err) }
 
 // UnknownField fails the decode on a key no field matches; strict
 // codecs call it where lenient ones call Skip.
@@ -423,6 +436,28 @@ func Slice[T any](d *Decoder, s *[]T, elem func(*Decoder, *T)) {
 	*s = v[:i]
 }
 
+// Array decodes an array into a, a fixed-length Go array's elements,
+// the way encoding/json decodes into an array: null leaves it
+// unchanged, elements past len(a) are validated and dropped, and
+// elements the input lacks are zeroed.
+func Array[T any](d *Decoder, a []T, elem func(*Decoder, *T)) {
+	if d.Null() {
+		return
+	}
+	i := 0
+	for more := d.open('[', "array"); more; more = d.More(']') {
+		if i < len(a) {
+			elem(d, &a[i])
+		} else {
+			d.Skip()
+		}
+		i++
+	}
+	if d.err == nil && i < len(a) {
+		clear(a[i:])
+	}
+}
+
 // Ptr decodes into *p the way encoding/json decodes into a pointer:
 // null sets it to nil, any other value decodes into the existing
 // target, allocated first when *p is nil.
@@ -644,23 +679,32 @@ func hexVal(c byte) rune {
 
 const hex = "0123456789abcdef"
 
-// htmlSafe reports the ASCII bytes json.Marshal writes as they are.
-var htmlSafe = func() (t [utf8.RuneSelf]bool) {
+// htmlSafe and textSafe report the ASCII bytes json.Marshal writes as
+// they are, with and without HTML escaping.
+var htmlSafe, textSafe = func() (html, text [utf8.RuneSelf]bool) {
 	for c := byte(' '); c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+		text[c] = c != '"' && c != '\\'
+		html[c] = text[c] && c != '<' && c != '>' && c != '&'
 	}
-	return t
+	return html, text
 }()
 
 // AppendString appends s as a JSON string exactly as json.Marshal
 // writes it: HTML-escaped, with invalid UTF-8 replaced by an escaped
 // U+FFFD and U+2028 and U+2029 escaped.
-func AppendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte { return appendString(dst, s, &htmlSafe) }
+
+// AppendStringNoHTML appends s as a JSON string exactly as a
+// json.Encoder with SetEscapeHTML(false) writes it: as AppendString,
+// but with <, > and & left as they are.
+func AppendStringNoHTML(dst []byte, s string) []byte { return appendString(dst, s, &textSafe) }
+
+func appendString(dst []byte, s string, safe *[utf8.RuneSelf]bool) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
-			if htmlSafe[c] {
+			if safe[c] {
 				i++
 				continue
 			}
@@ -729,4 +773,24 @@ func CloseObject(dst []byte, open int) []byte {
 // AppendInt appends n in decimal.
 func AppendInt[I int | int64](dst []byte, n I) []byte {
 	return strconv.AppendInt(dst, int64(n), 10)
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the
+// shortest decimal that round-trips, in exponent form (with a
+// one-digit exponent spelt without its leading zero) below 1e-6 and
+// from 1e21 on.  f must be finite; encoding/json refuses NaN and ±Inf.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }

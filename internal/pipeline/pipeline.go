@@ -13,12 +13,16 @@
 // Concurrency model: one mutex guards the key map, the LRU list and
 // the byte total; it is held only for map and list updates, never
 // across a compile.  The first request for a key claims an in-flight
-// entry and compiles on a detached goroutine; later requests for the
-// same key join that entry (singleflight) and block on its done
-// channel until the result lands.  Results — including errors, since compilation is
-// deterministic — are cached; loops are identified by their content
-// fingerprint (ddg.Graph.Fingerprint), so structurally identical loops
-// deduplicate even when they arrive as distinct decoded objects.
+// entry and compiles it; later requests for the same key join that
+// entry (singleflight) and block on its done channel until the result
+// lands.  A claimer whose context can be cancelled, or whose pipeline
+// caps concurrent compiles, compiles on a detached goroutine so that
+// it can stop waiting; one that can never stop waiting (Compile,
+// CompileBatch) compiles on its own goroutine.  Results — including
+// errors, since compilation is deterministic — are cached; loops are
+// identified by their content fingerprint (ddg.Graph.Fingerprint), so
+// structurally identical loops deduplicate even when they arrive as
+// distinct decoded objects.
 // CompileBatch feeds a fixed pool of worker goroutines from a channel
 // of indices and writes each response into the slot of its request, so
 // the returned slice is deterministic regardless of completion order.
@@ -37,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,15 +78,64 @@ func (r Request) cacheable() bool {
 // keyed by their canonical registered names, so the zero value, the
 // canonical spelling and every alias ("ne", "nystrom-eichenberger")
 // share one entry.
+//
+// The key is appended field by field rather than formatted: it is
+// built on every lookup, hits included.  Its bytes are those of
+//
+//	fmt.Sprintf("%s:%s|%s|%d|%v|%v|%d|%d|%d|%s|%s|%d|%d|%d|%d|%d|%d|%d", ...)
+//
+// over the fields in the order below, which snapshot rows and peer
+// lookups carry as the entry's identity.
 func (r Request) key() string {
-	return fmt.Sprintf("%s:%s|%s|%d|%v|%v|%d|%d|%d|%s|%s|%d|%d|%d|%d|%d|%d|%d",
-		r.Loop.Graph.Fingerprint(), r.Loop.Bench,
-		r.Cfg.Name, r.Cfg.NClusters, r.Cfg.FUsPerCluster, r.Cfg.Hetero,
-		r.Cfg.NBuses, r.Cfg.BusLatency, r.Cfg.RegsPerCluster,
-		engine.CanonicalScheduler(r.Opts.Scheduler.String()),
-		engine.CanonicalStrategy(r.Opts.Strategy.String()), r.Opts.Factor,
-		r.Opts.Sched.Policy, r.Opts.Sched.MaxII, r.Opts.Sched.ForceII,
-		r.Opts.Exact.MaxNodes, r.Opts.Exact.MaxSteps, r.Opts.Exact.MaxII)
+	b := make([]byte, 0, 128+len(r.Loop.Bench)+len(r.Cfg.Name)+8*len(r.Cfg.Hetero))
+	b = append(b, r.Loop.Graph.Fingerprint()...)
+	b = append(b, ':')
+	b = append(b, r.Loop.Bench...)
+	b = append(b, '|')
+	b = append(b, r.Cfg.Name...)
+	b = appendKeyInt(b, r.Cfg.NClusters)
+	b = append(b, '|')
+	b = appendKeyMix(b, &r.Cfg.FUsPerCluster)
+	b = append(b, '|', '[')
+	for i := range r.Cfg.Hetero {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendKeyMix(b, &r.Cfg.Hetero[i])
+	}
+	b = append(b, ']')
+	b = appendKeyInt(b, r.Cfg.NBuses)
+	b = appendKeyInt(b, r.Cfg.BusLatency)
+	b = appendKeyInt(b, r.Cfg.RegsPerCluster)
+	b = append(b, '|')
+	b = append(b, engine.CanonicalScheduler(r.Opts.Scheduler.String())...)
+	b = append(b, '|')
+	b = append(b, engine.CanonicalStrategy(r.Opts.Strategy.String())...)
+	b = appendKeyInt(b, r.Opts.Factor)
+	b = appendKeyInt(b, int(r.Opts.Sched.Policy))
+	b = appendKeyInt(b, r.Opts.Sched.MaxII)
+	b = appendKeyInt(b, r.Opts.Sched.ForceII)
+	b = appendKeyInt(b, r.Opts.Exact.MaxNodes)
+	b = appendKeyInt(b, r.Opts.Exact.MaxSteps)
+	b = appendKeyInt(b, r.Opts.Exact.MaxII)
+	return string(b)
+}
+
+// appendKeyInt appends '|' and n in decimal, as %d writes it.
+func appendKeyInt[I int | int64](b []byte, n I) []byte {
+	return strconv.AppendInt(append(b, '|'), int64(n), 10)
+}
+
+// appendKeyMix appends a unit mix as %v writes an int array: "[1 2 3]".
+func appendKeyMix(b []byte, mix *[machine.NumFUClasses]int) []byte {
+	b = append(b, '[')
+	for i, n := range mix {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return append(b, ']')
 }
 
 // Response pairs one batch request's result with its error.
@@ -278,11 +332,16 @@ func (p *Pipeline) Compile(req Request) (*core.Result, error) {
 // shared by every requester of the key — runs to completion on its own
 // goroutine and lands in the cache for the next asker.  The compile
 // itself is not interruptible (the schedulers take no context), so a
-// deadline bounds the caller's wait, not the work.  Exception:
-// uncacheable requests (an explicit Order or Assignment — per-run
-// ablation paths, never reachable over the wire) run synchronously on
-// the caller's goroutine; they have no entry for anyone to share, so
-// detaching them would only discard the work, and the deadline is
+// deadline bounds the caller's wait, not the work.
+//
+// A compile runs on the caller's goroutine instead when detaching it
+// would buy nothing: when ctx can never be cancelled (ctx.Done() is
+// nil, as for Compile and CompileBatch) and no compile cap is set, the
+// caller would wait for the result anyway, so it fills the entry
+// itself and skips the goroutine.  Uncacheable requests (an explicit
+// Order or Assignment — per-run ablation paths, never reachable over
+// the wire) always run there: they have no entry for anyone to share,
+// so detaching them would only discard the work, and the deadline is
 // checked solely on entry.
 func (p *Pipeline) CompileCtx(ctx context.Context, req Request) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -324,6 +383,10 @@ func (p *Pipeline) CompileCtx(ctx context.Context, req Request) (*core.Result, e
 			p.mu.Unlock()
 
 			p.misses.Add(1)
+			if ctx.Done() == nil && p.fillSem == nil {
+				p.fill(e, req)
+				return e.res, e.err
+			}
 			go func() {
 				p.fill(e, req)
 				if haveSlot {
@@ -455,8 +518,9 @@ func entryBytes(key string, res *core.Result) int64 {
 
 // run performs the compilation and accounts for it.  It is the
 // pipeline's panic fence: compiles execute on detached fill goroutines
-// (and batch workers), where an escaped panic would kill the whole
-// process with no handler in between — so any panic a CompileFunc lets
+// and batch workers, where an escaped panic would kill the whole
+// process with no handler in between, and an inline fill that panicked
+// would leave its entry in flight forever — so any panic a CompileFunc lets
 // through (the engine converts its own; this catches custom compile
 // functions and anything else) becomes a typed engine.PanicError here.
 func (p *Pipeline) run(req Request) (res *core.Result, err error) {

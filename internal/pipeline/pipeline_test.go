@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ddg"
+	"repro/internal/engine"
+	"repro/internal/exact"
 	"repro/internal/machine"
 	"repro/internal/order"
 	"repro/internal/sched"
@@ -385,6 +389,116 @@ func TestKeyCanonicalizesRegisteredNames(t *testing.T) {
 	b := Request{Loop: l, Cfg: cfg, Opts: core.Options{Strategy: "sweep:3"}}
 	if a.key() == b.key() {
 		t.Error("sweep:2 and sweep:3 share a cache key")
+	}
+}
+
+// referenceKey is the fmt.Sprintf form Request.key replaced; the
+// appended key must reproduce its bytes, which snapshot rows and peer
+// lookups carry.
+func referenceKey(r Request) string {
+	return fmt.Sprintf("%s:%s|%s|%d|%v|%v|%d|%d|%d|%s|%s|%d|%d|%d|%d|%d|%d|%d",
+		r.Loop.Graph.Fingerprint(), r.Loop.Bench,
+		r.Cfg.Name, r.Cfg.NClusters, r.Cfg.FUsPerCluster, r.Cfg.Hetero,
+		r.Cfg.NBuses, r.Cfg.BusLatency, r.Cfg.RegsPerCluster,
+		engine.CanonicalScheduler(r.Opts.Scheduler.String()),
+		engine.CanonicalStrategy(r.Opts.Strategy.String()), r.Opts.Factor,
+		r.Opts.Sched.Policy, r.Opts.Sched.MaxII, r.Opts.Sched.ForceII,
+		r.Opts.Exact.MaxNodes, r.Opts.Exact.MaxSteps, r.Opts.Exact.MaxII)
+}
+
+// TestKeyMatchesFormatReference holds the appended key to the
+// fmt.Sprintf reference over every Table 1 machine, heterogeneous
+// layouts (nil, empty, one and several clusters) and each keyed option
+// field set on its own and all together.
+func TestKeyMatchesFormatReference(t *testing.T) {
+	cfgs := machine.Table1Configs()
+	for _, hetero := range [][][machine.NumFUClasses]int{
+		{},
+		{{2, 1, 0}},
+		{{2, 2, 2}, {1, 0, 1}, {0, 12, -3}},
+	} {
+		h := machine.FourCluster(2, 2)
+		h.Name = "hetero \"pipe|name\""
+		h.Hetero = hetero
+		cfgs = append(cfgs, h)
+	}
+	odd := machine.TwoCluster(1, 1)
+	odd.Name = ""
+	odd.FUsPerCluster = [machine.NumFUClasses]int{-1, 0, 1 << 40}
+	cfgs = append(cfgs, odd)
+
+	opts := []core.Options{
+		{},
+		{Scheduler: core.NystromEichenberger},
+		{Scheduler: "nystrom-eichenberger"},
+		{Scheduler: "not-registered"},
+		{Strategy: core.SelectiveUnroll},
+		{Strategy: "all"},
+		{Strategy: "sweep:3"},
+		{Factor: 4},
+		{Sched: sched.Options{Policy: sched.PolicyFirstFit}},
+		{Sched: sched.Options{MaxII: 9}},
+		{Sched: sched.Options{ForceII: 7}},
+		{Exact: exact.Budget{MaxNodes: -1}},
+		{Exact: exact.Budget{MaxSteps: 1 << 40}},
+		{Exact: exact.Budget{MaxII: 12}},
+		{Scheduler: core.Exact, Strategy: core.UnrollAll, Factor: -2,
+			Sched: sched.Options{Policy: sched.PolicyRoundRobin, MaxII: 31, ForceII: 5},
+			Exact: exact.Budget{MaxNodes: 64, MaxSteps: -9223372036854775808, MaxII: 40}},
+	}
+	loops := testLoops(2)
+	loops[1].Bench = "b|é:"
+	n := 0
+	for _, l := range loops {
+		for _, cfg := range cfgs {
+			for _, o := range opts {
+				r := Request{Loop: l, Cfg: cfg, Opts: o}
+				if got, want := r.key(), referenceKey(r); got != want {
+					t.Errorf("key differs from the fmt.Sprintf reference:\n got %s\nwant %s", got, want)
+				}
+				n++
+			}
+		}
+	}
+	if n < 2*9*len(opts) {
+		t.Fatalf("checked %d keys, want at least one per Table 1 config and option set", n)
+	}
+}
+
+// TestUncancellableCompileRunsOnCallerGoroutine checks that a compile
+// nobody can abandon skips the fill goroutine: under Compile the
+// CompileFunc runs with this test's frame on its stack, under a
+// cancellable context it does not.
+func TestUncancellableCompileRunsOnCallerGoroutine(t *testing.T) {
+	const self = "TestUncancellableCompileRunsOnCallerGoroutine"
+	var onCaller []bool
+	p := New(1)
+	p.SetCompile(func(l *corpus.Loop, cfg *machine.Config, opts core.Options) (*core.Result, error) {
+		pcs := make([]uintptr, 64)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+		found := false
+		for {
+			f, more := frames.Next()
+			found = found || strings.HasSuffix(f.Function, "."+self)
+			if !more {
+				break
+			}
+		}
+		onCaller = append(onCaller, found)
+		return stubResult(), nil
+	})
+	loops := testLoops(2)
+	cfg := machine.TwoCluster(1, 1)
+	if _, err := p.Compile(Request{Loop: loops[0], Cfg: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := p.CompileCtx(ctx, Request{Loop: loops[1], Cfg: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, false}; !slices.Equal(onCaller, want) {
+		t.Errorf("compile found the caller's frame %v (Compile, then CompileCtx with a deadline), want %v", onCaller, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -165,11 +166,30 @@ func writeError(w http.ResponseWriter, werr *wire.Error) {
 	writeJSON(w, wire.StatusOf(werr.Code), wire.ErrorResponse{V: wire.Version, Error: werr})
 }
 
-// decodeBody strictly decodes a size-capped request body, mapping
-// overflow to the 413 wire error.
-func (f *Front) decodeBody(w http.ResponseWriter, r *http.Request, v any) *wire.Error {
-	body := http.MaxBytesReader(w, r.Body, f.maxBody)
-	if err := wire.DecodeStrict(body, v); err != nil {
+// exchangeBufs recycles the buffer a compile exchange reads its
+// request body into and then writes its response from: the decoders
+// copy out every byte they keep.  Buffers that grew past
+// maxPooledBuf are left to the collector.
+var exchangeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 64 << 10
+
+func putExchangeBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledBuf {
+		*buf = (*buf)[:0]
+		exchangeBufs.Put(buf)
+	}
+}
+
+// decodeBody reads a size-capped request body into *buf and strictly
+// decodes it into v, mapping overflow to the 413 wire error.
+func decodeBody[T any](f *Front, w http.ResponseWriter, r *http.Request, buf *[]byte, v *T, decode func([]byte, *T) error) *wire.Error {
+	body, err := readAll(http.MaxBytesReader(w, r.Body, f.maxBody), (*buf)[:0])
+	*buf = body
+	if err == nil {
+		err = decode(body, v)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return wire.Errorf(wire.CodeBodyTooLarge, "request body over the %d byte limit", tooBig.Limit)
@@ -179,12 +199,31 @@ func (f *Front) decodeBody(w http.ResponseWriter, r *http.Request, v any) *wire.
 	return nil
 }
 
+// readAll is io.ReadAll appending to b.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
+}
+
 // handleCompile serves POST /v1/compile.
 func (f *Front) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	f.m.requests.compile.Add(1)
+	buf := exchangeBufs.Get().(*[]byte)
+	defer putExchangeBuf(buf)
 	var req wire.CompileRequest
-	if werr := f.decodeBody(w, r, &req); werr != nil {
+	if werr := decodeBody(f, w, r, buf, &req, wire.DecodeCompileRequest); werr != nil {
 		writeError(w, werr)
 		return
 	}
@@ -194,7 +233,15 @@ func (f *Front) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, werr)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.CompileResponse{V: wire.Version, Result: res})
+	// An encoding failure writes the status and no body, as writeJSON
+	// does.
+	var err error
+	*buf, err = wire.AppendCompileResponse((*buf)[:0], &wire.CompileResponse{V: wire.Version, Result: res})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		w.Write(*buf)
+	}
 }
 
 // handleBatch serves POST /v1/batch: the whole request decodes up
@@ -205,8 +252,10 @@ func (f *Front) handleCompile(w http.ResponseWriter, r *http.Request) {
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	f.m.requests.batch.Add(1)
+	buf := exchangeBufs.Get().(*[]byte)
+	defer putExchangeBuf(buf)
 	var req wire.BatchRequest
-	if werr := f.decodeBody(w, r, &req); werr != nil {
+	if werr := decodeBody(f, w, r, buf, &req, wire.DecodeBatchRequest); werr != nil {
 		writeError(w, werr)
 		return
 	}
@@ -235,8 +284,7 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// remaining items fail fast — but keep accepting items so the
 	// backend's workers finish and free what they hold.
 	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	line := (*buf)[:0]
 	clientGone := false
 	f.b.Batch(r.Context(), req.Requests, func(item wire.BatchItem) {
 		mu.Lock()
@@ -245,13 +293,18 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rc.SetWriteDeadline(time.Now().Add(streamWriteBudget))
-		if err := enc.Encode(item); err != nil {
+		var err error
+		if line, err = wire.AppendBatchItem(line[:0], &item); err == nil {
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			clientGone = true
 			f.m.disconnects.Add(1)
 			return
 		}
 		rc.Flush()
 	})
+	*buf = line
 	f.m.latency.observe(time.Since(start))
 }
 

@@ -139,6 +139,10 @@ func TestCompileMalformedJSON(t *testing.T) {
 	for _, body := range []string{
 		`{`, `[]`, `{"v":1,"loop_ref":}`, `{"v":1,"bogus_field":true}`,
 		valid + ` {}`, // trailing data
+		// Trailing bytes a json.Decoder.More check lets through.
+		`{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}]]garbage`,
+		`{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}]`,
+		`{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}}`,
 		inline(`{"name":"g","nodes":[{"name":"a","op":"iadd","opp":"x"}],"edges":[]}`),                   // unknown node field
 		edges(`{"from":0,"to":1,"latncy":3,"kind":"true"}`),                                              // unknown edge field
 		inline(`{"name":"g","nodes":[` + two + `],"edges":[],"egdes":[]}`),                               // unknown graph field
@@ -444,6 +448,10 @@ func TestCompileRejectsHugeOptions(t *testing.T) {
 // TestBatchRejectsEmpty asserts an empty batch is a 400.
 func TestBatchRejectsEmpty(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	wantError(t, post(t, ts.URL+"/v1/batch", `{"v":1,"requests":[{"v":1,"loop_ref":"swim.loop0","machine_ref":"unified"}]}]`),
+		http.StatusBadRequest, wire.CodeBadRequest)
+	wantError(t, post(t, ts.URL+"/v1/batch", `{"v":1,"requests":[{"v":1,"loop_ref":"swim.loop0","machine_ref":"unified","bogus":1}]}`),
+		http.StatusBadRequest, wire.CodeBadRequest)
 	wantError(t, post(t, ts.URL+"/v1/batch", `{"v":1,"requests":[]}`),
 		http.StatusBadRequest, wire.CodeBadRequest)
 }

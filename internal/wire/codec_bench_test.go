@@ -31,18 +31,32 @@ func benchRequests(b *testing.B, n int) []wire.CompileRequest {
 	return reqs
 }
 
+// BenchmarkDecodeCompileRequest runs the server's request decoder;
+// the DecodeStrict sub-benchmark is the reflective decode it replaced.
 func BenchmarkDecodeCompileRequest(b *testing.B) {
 	reqs := benchRequests(b, 96)
 	bodies := make([][]byte, len(reqs))
 	for i := range reqs {
 		bodies[i] = wire.AppendCompileRequest(nil, &reqs[i])
 	}
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		var req wire.CompileRequest
-		if err := wire.DecodeStrict(bytes.NewReader(bodies[i%len(bodies)]), &req); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		decode func([]byte, *wire.CompileRequest) error
+	}{
+		{"hand", wire.DecodeCompileRequest},
+		{"DecodeStrict", func(body []byte, req *wire.CompileRequest) error {
+			return wire.DecodeStrict(bytes.NewReader(body), req)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				var req wire.CompileRequest
+				if err := c.decode(bodies[i%len(bodies)], &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -54,12 +68,12 @@ func BenchmarkAppendCompileRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeCompileResponse decodes the bodies a server writes for
-// the benchmark corpus, compiled with selective unrolling.
-func BenchmarkDecodeCompileResponse(b *testing.B) {
-	reqs := benchRequests(b, 32)
-	var bodies [][]byte
-	for _, req := range reqs {
+// benchResponses compiles the benchmark corpus with selective
+// unrolling into the responses a server sends for it.
+func benchResponses(b *testing.B, n int) []wire.CompileResponse {
+	b.Helper()
+	var out []wire.CompileResponse
+	for _, req := range benchRequests(b, n) {
 		cfg, ok := machine.ConfigByName(req.MachineRef)
 		opts, werr := req.Options.Core()
 		if !ok || werr != nil {
@@ -67,15 +81,23 @@ func BenchmarkDecodeCompileResponse(b *testing.B) {
 		}
 		res, err := core.Compile(req.Loop.Graph, &cfg, &opts)
 		if err != nil {
-			continue // unschedulable: no 200 body to decode
+			continue // unschedulable: no 200 body
 		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(wire.CompileResponse{V: wire.Version, Result: wire.FromResult(res)}); err != nil {
+		out = append(out, wire.CompileResponse{V: wire.Version, Result: wire.FromResult(res)})
+	}
+	return out
+}
+
+// BenchmarkDecodeCompileResponse decodes the bodies a server writes for
+// the benchmark corpus.
+func BenchmarkDecodeCompileResponse(b *testing.B) {
+	var bodies [][]byte
+	for _, resp := range benchResponses(b, 32) {
+		body, err := wire.AppendCompileResponse(nil, &resp)
+		if err != nil {
 			b.Fatal(err)
 		}
-		bodies = append(bodies, buf.Bytes())
+		bodies = append(bodies, body)
 	}
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
@@ -84,4 +106,32 @@ func BenchmarkDecodeCompileResponse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAppendCompileResponse runs the server's response encoder;
+// the json.Encoder sub-benchmark is the reflective encode it replaced.
+func BenchmarkAppendCompileResponse(b *testing.B) {
+	resps := benchResponses(b, 32)
+	b.Run("hand", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; b.Loop(); i++ {
+			var err error
+			if buf, err = wire.AppendCompileResponse(buf[:0], &resps[i%len(resps)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json.Encoder", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; b.Loop(); i++ {
+			buf.Reset()
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(false)
+			if err := enc.Encode(&resps[i%len(resps)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

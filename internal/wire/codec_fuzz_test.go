@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,9 +121,10 @@ func (lg *legacyGraph) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// legacyLoop and legacyCompileRequest mirror corpus.Loop and
-// CompileRequest field for field, with the graph swapped for
-// legacyGraph; checkLegacyMirror keeps them in step.
+// legacyLoop, legacyCompileRequest and legacyBatchRequest mirror
+// corpus.Loop, CompileRequest and BatchRequest field for field, with
+// the graph swapped for legacyGraph; checkLegacyMirror keeps them in
+// step.
 type legacyLoop struct {
 	Graph  *legacyGraph `json:"graph"`
 	Iters  int          `json:"iters,omitempty"`
@@ -141,11 +143,17 @@ type legacyCompileRequest struct {
 	AllowDegraded bool        `json:"allow_degraded,omitempty"`
 }
 
+type legacyBatchRequest struct {
+	V        int                    `json:"v"`
+	Requests []legacyCompileRequest `json:"requests"`
+}
+
 // checkLegacyMirror fails when a mirror's field names or json tags
 // drift from the type it stands in for.
 func checkLegacyMirror(tb testing.TB) {
 	tb.Helper()
-	for _, pair := range [][2]any{{legacyLoop{}, corpus.Loop{}}, {legacyCompileRequest{}, CompileRequest{}}} {
+	for _, pair := range [][2]any{{legacyLoop{}, corpus.Loop{}}, {legacyCompileRequest{}, CompileRequest{}},
+		{legacyBatchRequest{}, BatchRequest{}}} {
 		mt, rt := reflect.TypeOf(pair[0]), reflect.TypeOf(pair[1])
 		if mt.NumField() != rt.NumField() {
 			tb.Fatalf("%s has %d fields, %s has %d", mt, mt.NumField(), rt, rt.NumField())
@@ -234,24 +242,44 @@ func requestSeeds(tb testing.TB) []string {
 		`{"v":1,"loop":null,"loop_ref":"tomcatv.loop0"}`,
 		`{"v":1,"loop":{"graph":{"name":"g","nodes":[],"edges":[]}}} {}`,
 		`{"v":1,"loop":{"graph":{"name":"g","nodes":[],"edges":[]},"bogus":1}}`,
+		// Every envelope field, null, repeated, mis-cased and mistyped.
+		`{"v":1,"loop_ref":"a","loop_ref":null,"MACHINE_REF":"unified","timeout_ms":5,"timeout_ms":null,"allow_degraded":true,"allow_degraded":null}`,
+		`{"v":1,"machine":{"name":"m","clusters":2,"fus":[1,2,3],"hetero":[[1,2,3],[4,5,6,7],[8],null,[]],"regs":32,"buses":1,"bus_latency":2}}`,
+		`{"v":1,"machine":{"fus":[1,2,3],"fus":[9],"hetero":[[1,2,3],[4,5,6]],"hetero":[[7],null],"fus":null}}`,
+		`{"v":1,"machine":{"fus":[1,2,3,{"x":[1e9]}]},"machine":{"fus":[null,5]}}`,
+		`{"v":1,"machine":{"fus":{}}}`, `{"v":1,"machine":{"fus":[1.5]}}`, `{"v":1,"machine":{"hetero":[[1,2,3,4.5]]}}`,
+		`{"v":1,"machine":{"clusters":1,"regs":8,"bogus":[]}}`, `{"v":1,"machine":{"fus":[1,2,3,]}}`,
+		`{"v":1,"options":{"scheduler":"ne","strategy":"sweep:<k>","factor":2,"policy":"first_fit","max_ii":9,"force_ii":3,"parallel_ii":4,"exact":{"max_nodes":1,"max_steps":9223372036854775807,"max_ii":2}}}`,
+		`{"v":1,"options":{"exact":{"max_steps":1},"exact":{"max_ii":3},"exact":null,"exact":{}}}`,
+		`{"v":1,"options":{"exact":{"max_steps":9223372036854775808}}}`, `{"v":1,"options":{"exact":{"steps":1}}}`,
+		`{"v":1,"options":{"Strategy":"selective","FORCE_II":2}}`, `{"v":1,"options":{"factor":"2"}}`,
+		`{"v":1,"options":null,"machine":null,"loop":null}`, `{"v":1,"loop":{"iters":4,"weight":2,"bench":"b","iters":null}}`,
+		`{"v":1,"loop":{"graph":[]}}`, `{"v":1,"loop":{"graph":"g"}}`, `{"v":1,"loop":{"graph":5}}`,
+		`{"v":1,"loop":{"graph":{"name":"a","nodes":[{"name":"x","op":"iadd"}],"edges":[]},"graph":{"name":"b","nodes":[],"edges":[]}}}`,
+		`{"v":1,"loop":{"graph":{"name":"a","nodes":[{"name":"x","op":"warp"}],"edges":[]},"graph":{"name":"b","nodes":[],"edges":[]}}}`,
+		`{"v":true}`, `{"v":1.0}`, `{"v":-0}`, `{"\u0076":1}`, `{"v":1,"v":2}`, `{"v":1}garbage`, `{"v":1}]`, `{"v":1}}`,
+		`{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}]]garbage`, `{"v":1} `, ``, `  `, `nul`,
 	)
 }
 
-// FuzzDecodeCompileRequest runs the server's request decode with the
-// hand-written graph codec against the same decode with the reflective
-// codec it replaced.  Both must accept or reject alike; an accepted
-// graph must have the same fingerprint both ways, and re-encoding must
-// give the same bytes: AppendCompileRequest and json.Marshal on the new
-// side, the old MarshalJSON under json.Marshal on the other.
+// FuzzDecodeCompileRequest runs the server's request decoder,
+// DecodeCompileRequest, against reflective DecodeStrict over the
+// mirror whose graph is the reflective codec the hand-written one
+// replaced.  Both must accept or reject alike.  An accepted request
+// must decode to the value reflective DecodeStrict gives with the
+// hand-written graph codec, with the same graph fingerprint as the
+// mirror's, and re-encoding must give the same bytes:
+// AppendCompileRequest and json.Marshal on the new side, the old
+// MarshalJSON under json.Marshal on the other.
 func FuzzDecodeCompileRequest(f *testing.F) {
 	checkLegacyMirror(f)
 	for _, s := range requestSeeds(f) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got CompileRequest
+		var got, reflective CompileRequest
 		var want legacyCompileRequest
-		gotErr := DecodeStrict(bytes.NewReader(data), &got)
+		gotErr := DecodeCompileRequest(data, &got)
 		wantErr := DecodeStrict(bytes.NewReader(data), &want)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("decoders disagree on %q:\nhand-written: %v\nreflective:   %v", data, gotErr, wantErr)
@@ -259,20 +287,96 @@ func FuzzDecodeCompileRequest(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		if got.Loop != nil && got.Loop.Graph != nil {
-			if fp, old := got.Loop.Graph.Fingerprint(), want.Loop.Graph.g.Fingerprint(); fp != old {
-				t.Fatalf("fingerprints differ on %q: %s vs %s", data, fp, old)
-			}
+		if err := DecodeStrict(bytes.NewReader(data), &reflective); err != nil {
+			t.Fatalf("reflective envelope rejects %q: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, reflective) {
+			t.Fatalf("values differ on %q:\nhand-written: %+v\nreflective:   %+v", data, got, reflective)
+		}
+		checkSameRequest(t, data, &got, &want)
+	})
+}
+
+// checkSameRequest compares an accepted request with its legacy
+// mirror: graph fingerprint and re-encoded bytes.
+func checkSameRequest(t *testing.T, data []byte, got *CompileRequest, want *legacyCompileRequest) {
+	t.Helper()
+	if got.Loop != nil && got.Loop.Graph != nil {
+		if fp, old := got.Loop.Graph.Fingerprint(), want.Loop.Graph.g.Fingerprint(); fp != old {
+			t.Fatalf("fingerprints differ on %q: %s vs %s", data, fp, old)
+		}
+	}
+	old, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hand := AppendCompileRequest(nil, got); !bytes.Equal(hand, old) {
+		t.Fatalf("re-encoding differs on %q:\nhand-written: %s\nreflective:   %s", data, hand, old)
+	}
+	if viaJSON, err := json.Marshal(got); err != nil || !bytes.Equal(viaJSON, old) {
+		t.Fatalf("json.Marshal with the new MarshalJSON differs on %q (%v):\n%s\n%s", data, err, viaJSON, old)
+	}
+}
+
+// batchSeeds are FuzzDecodeBatchRequest's seed corpus: request seeds
+// wrapped as batches, and the batch envelope's own corner cases.
+func batchSeeds(tb testing.TB) []string {
+	tb.Helper()
+	var seeds []string
+	for i, s := range requestSeeds(tb) {
+		if i%4 == 0 {
+			seeds = append(seeds, `{"v":1,"requests":[`+s+`]}`)
+		}
+	}
+	const a, b = `{"v":1,"loop_ref":"swim.loop0","machine_ref":"unified"}`, `{"v":1,"options":{"strategy":"selective"}}`
+	return append(seeds,
+		`{"v":1,"requests":[`+a+`,`+b+`]}`,
+		// Repeated arrays decode over earlier elements without zeroing.
+		`{"v":1,"requests":[`+a+`,`+b+`],"requests":[{"timeout_ms":3}]}`,
+		`{"v":1,"requests":[`+a+`,`+b+`],"requests":[],"requests":[{"machine_ref":"x"},{},{}]}`,
+		`{"V":1,"REQUESTS":[null,`+a+`]}`, `{"v":1,"requests":null}`, `{"v":1,"requests":[]}`, `{"v":1}`,
+		`{"v":1,"requests":{}}`, `{"v":1,"requests":[[]]}`, `{"v":1,"requests":[`+a+`],"extra":1}`,
+		`{"v":1,"requests":[{"v":1,"bogus":1}]}`, `{"v":1,"requests":[`+a+`]}]`, `{"v":1,"requests":[`+a+`]}}`,
+		`{"v":1,"requests":[`+a+`,]}`, `null`, `[]`, ``,
+	)
+}
+
+// FuzzDecodeBatchRequest holds DecodeBatchRequest to reflective
+// DecodeStrict as FuzzDecodeCompileRequest holds DecodeCompileRequest.
+func FuzzDecodeBatchRequest(f *testing.F) {
+	checkLegacyMirror(f)
+	for _, s := range batchSeeds(f) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, reflective BatchRequest
+		var want legacyBatchRequest
+		gotErr := DecodeBatchRequest(data, &got)
+		wantErr := DecodeStrict(bytes.NewReader(data), &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decoders disagree on %q:\nhand-written: %v\nreflective:   %v", data, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if err := DecodeStrict(bytes.NewReader(data), &reflective); err != nil {
+			t.Fatalf("reflective envelope rejects %q: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, reflective) {
+			t.Fatalf("values differ on %q:\nhand-written: %+v\nreflective:   %+v", data, got, reflective)
+		}
+		if len(got.Requests) != len(want.Requests) {
+			t.Fatalf("%d requests vs %d on %q", len(got.Requests), len(want.Requests), data)
+		}
+		for i := range got.Requests {
+			checkSameRequest(t, data, &got.Requests[i], &want.Requests[i])
 		}
 		old, err := json.Marshal(&want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hand := AppendCompileRequest(nil, &got); !bytes.Equal(hand, old) {
+		if hand := AppendBatchRequest(nil, &got); !bytes.Equal(hand, old) {
 			t.Fatalf("re-encoding differs on %q:\nhand-written: %s\nreflective:   %s", data, hand, old)
-		}
-		if viaJSON, err := json.Marshal(&got); err != nil || !bytes.Equal(viaJSON, old) {
-			t.Fatalf("json.Marshal with the new MarshalJSON differs on %q (%v):\n%s\n%s", data, err, viaJSON, old)
 		}
 	})
 }
@@ -336,5 +440,79 @@ func agree(t *testing.T, data []byte, wantErr, gotErr error, want, got any) {
 	}
 	if gotErr == nil && !reflect.DeepEqual(want, got) {
 		t.Fatalf("%T: values differ on %q:\nhand-written:   %+v\njson.Unmarshal: %+v", want, data, got, want)
+	}
+}
+
+// FuzzEncodeCompileResponse holds AppendCompileResponse and
+// AppendBatchItem to a json.Encoder with SetEscapeHTML(false): same
+// bytes, or both fail.  Values come from the response seeds through
+// json.Unmarshal, then a raw string (invalid UTF-8 survives there) and
+// an arbitrary float (NaN and ±Inf included) are written over a few
+// fields.
+func FuzzEncodeCompileResponse(f *testing.F) {
+	for i, s := range responseSeeds(f) {
+		f.Add([]byte(s), "a<b>&c\u2028\xff", float64(i)/3)
+	}
+	f.Add([]byte(`{"v":1,"result":{"stages":{"candidates":[{"strategy":"s"}]}}}`), "", math.NaN())
+	f.Add([]byte(`{"v":1,"result":{}}`), "x", math.Inf(-1))
+	for _, x := range []float64{1e-7, 1e21, 1e20, 123456789e-15, -0.0, 5e-324, math.MaxFloat64} {
+		f.Add([]byte(`{"v":1,"index":2,"result":{"causes":{"b":1,"a":2}}}`), "é\t\"", x)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, s string, x float64) {
+		var resp CompileResponse
+		var item BatchItem
+		if json.Unmarshal(data, &resp) != nil {
+			resp = CompileResponse{V: 1}
+		}
+		if json.Unmarshal(data, &item) != nil {
+			item = BatchItem{V: 1, Error: &Error{Code: "c"}}
+		}
+		overlay := func(r *Result) {
+			if r == nil {
+				return
+			}
+			r.Graph, r.IterationII = s, x
+			if r.Causes != nil {
+				r.Causes[s] = len(s)
+			}
+			if r.Stages != nil && len(r.Stages.Candidates) > 0 {
+				c := &r.Stages.Candidates[len(r.Stages.Candidates)-1]
+				c.Error, c.IterationII = s, x
+			}
+		}
+		overlay(resp.Result)
+		overlay(item.Result)
+		if item.Error != nil {
+			item.Error.Message = s
+		}
+		encode := func(v any) ([]byte, error) {
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(false)
+			err := enc.Encode(v)
+			return buf.Bytes(), err
+		}
+		want, wantErr := encode(&resp)
+		got, gotErr := AppendCompileResponse(nil, &resp)
+		sameEncoding(t, "CompileResponse", data, got, want, gotErr, wantErr)
+		want, wantErr = encode(&item)
+		got, gotErr = AppendBatchItem([]byte("prefix"), &item)
+		if gotErr == nil {
+			if !bytes.HasPrefix(got, []byte("prefix")) {
+				t.Fatalf("AppendBatchItem dropped dst: %q", got)
+			}
+			got = got[len("prefix"):]
+		}
+		sameEncoding(t, "BatchItem", data, got, want, gotErr, wantErr)
+	})
+}
+
+func sameEncoding(t *testing.T, what string, data, got, want []byte, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: encoders disagree on %q:\nhand-written: %v\njson.Encoder: %v", what, data, gotErr, wantErr)
+	}
+	if gotErr == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%s: bytes differ on %q:\nhand-written: %s\njson.Encoder: %s", what, data, got, want)
 	}
 }

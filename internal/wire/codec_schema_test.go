@@ -127,20 +127,57 @@ func TestHandCodecsCoverSchema(t *testing.T) {
 		}
 	}
 
-	// The server decodes the graph by hand inside the reflective
-	// envelope: a round trip keeps its identity.
-	var back CompileRequest
-	if err := DecodeStrict(bytes.NewReader(AppendCompileRequest(nil, &req)), &back); err != nil {
+	// The server's request decoders agree with the reflective envelope
+	// and keep the graph's identity through a round trip.
+	var back, reflective CompileRequest
+	if err := DecodeCompileRequest(AppendCompileRequest(nil, &req), &back); err != nil {
 		t.Fatal(err)
+	}
+	if err := DecodeStrict(bytes.NewReader(AppendCompileRequest(nil, &req)), &reflective); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, reflective) {
+		t.Errorf("DecodeCompileRequest differs from DecodeStrict:\n got %+v\nwant %+v", back, reflective)
 	}
 	if back.Loop.Graph.Fingerprint() != req.Loop.Graph.Fingerprint() {
 		t.Error("graph fingerprint changed through the hand codecs")
+	}
+	var backBatch, reflectiveBatch BatchRequest
+	if err := DecodeBatchRequest(AppendBatchRequest(nil, &batch), &backBatch); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeStrict(bytes.NewReader(AppendBatchRequest(nil, &batch)), &reflectiveBatch); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(backBatch, reflectiveBatch) {
+		t.Errorf("DecodeBatchRequest differs from DecodeStrict:\n got %+v\nwant %+v", backBatch, reflectiveBatch)
 	}
 
 	var resp CompileResponse
 	f.fill(reflect.ValueOf(&resp).Elem())
 	var item BatchItem
 	f.fill(reflect.ValueOf(&item).Elem())
+	// The server's response encoders write what its json.Encoder wrote.
+	for _, c := range []struct {
+		v      any
+		append func() ([]byte, error)
+	}{
+		{&resp, func() ([]byte, error) { return AppendCompileResponse(nil, &resp) }},
+		{&item, func() ([]byte, error) { return AppendBatchItem(nil, &item) }},
+		{&CompileResponse{}, func() ([]byte, error) { return AppendCompileResponse(nil, &CompileResponse{}) }},
+		{&BatchItem{}, func() ([]byte, error) { return AppendBatchItem(nil, &BatchItem{}) }},
+	} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(c.v); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.append()
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%T: hand encoding differs from json.Encoder (%v):\n got %s\nwant %s", c.v, err, got, want.Bytes())
+		}
+	}
 	for _, c := range []struct {
 		v      any
 		decode func([]byte) (any, any, error, error)

@@ -1,16 +1,471 @@
-// Hand-written codecs for the payloads every compile carries: the
-// request the client encodes and the response it decodes.  They write
-// and read exactly what encoding/json would — the schema-coverage test
-// and the differential fuzz targets FuzzDecodeCompileRequest and
-// FuzzDecodeCompileResponse hold them to it — without its reflection.
-// Every other message still goes through encoding/json.
+// Hand-written codecs for the payloads every compile carries, on both
+// ends of the exchange: the client encodes requests and decodes
+// responses, the server decodes requests and encodes responses.  They
+// write and read exactly what encoding/json would — the
+// schema-coverage test and the differential fuzz targets
+// FuzzDecodeCompileRequest, FuzzDecodeBatchRequest,
+// FuzzDecodeCompileResponse and FuzzEncodeCompileResponse hold them to
+// it — without its reflection.  Error bodies, stats, capabilities,
+// snapshot rows and peer answers still go through encoding/json.
 
 package wire
 
 import (
+	"errors"
+	"math"
+	"slices"
+
 	"repro/internal/corpus"
+	"repro/internal/ddg"
 	"repro/internal/jsonx"
 )
+
+// DecodeCompileRequest decodes a /v1/compile body into r as
+// DecodeStrict would: one value, nothing but whitespace after it, and
+// an unknown field at any level is an error.  The inline loop's graph
+// decodes on the same decoder, so the body is scanned once.
+func DecodeCompileRequest(data []byte, r *CompileRequest) error {
+	d := jsonx.NewDecoder(data)
+	decodeCompileRequest(d, r)
+	return d.End()
+}
+
+// DecodeBatchRequest decodes a /v1/batch body into r as strictly as
+// DecodeCompileRequest.
+func DecodeBatchRequest(data []byte, r *BatchRequest) error {
+	d := jsonx.NewDecoder(data)
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, batchRequestFields) {
+		case "v":
+			d.Int(&r.V)
+		case "requests":
+			jsonx.Slice(d, &r.Requests, decodeCompileRequest)
+		default:
+			d.UnknownField(key)
+		}
+	}
+	return d.End()
+}
+
+// The json names of each strictly decoded DTO's fields, for
+// jsonx.Match.
+var (
+	batchRequestFields   = []string{"v", "requests"}
+	compileRequestFields = []string{"v", "loop_ref", "loop", "machine_ref", "machine",
+		"options", "timeout_ms", "allow_degraded"}
+	loopFields        = []string{"graph", "iters", "weight", "bench"}
+	machineFields     = []string{"name", "clusters", "fus", "hetero", "regs", "buses", "bus_latency"}
+	optionsFields     = []string{"scheduler", "strategy", "factor", "policy", "max_ii", "force_ii", "parallel_ii", "exact"}
+	exactBudgetFields = []string{"max_nodes", "max_steps", "max_ii"}
+)
+
+func decodeCompileRequest(d *jsonx.Decoder, r *CompileRequest) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, compileRequestFields) {
+		case "v":
+			d.Int(&r.V)
+		case "loop_ref":
+			d.String(&r.LoopRef)
+		case "loop":
+			jsonx.Ptr(d, &r.Loop, decodeLoop)
+		case "machine_ref":
+			d.String(&r.MachineRef)
+		case "machine":
+			jsonx.Ptr(d, &r.Machine, decodeMachine)
+		case "options":
+			jsonx.Ptr(d, &r.Options, decodeOptions)
+		case "timeout_ms":
+			d.Int(&r.TimeoutMS)
+		case "allow_degraded":
+			d.Bool(&r.AllowDegraded)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+func decodeLoop(d *jsonx.Decoder, l *corpus.Loop) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, loopFields) {
+		case "graph":
+			jsonx.Ptr(d, &l.Graph, decodeGraph)
+		case "iters":
+			d.Int(&l.Iters)
+		case "weight":
+			d.Int(&l.Weight)
+		case "bench":
+			d.String(&l.Bench)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+func decodeGraph(d *jsonx.Decoder, g *ddg.Graph) { g.DecodeJSON(d) }
+
+func decodeMix(d *jsonx.Decoder, mix *[3]int) { jsonx.Array(d, mix[:], (*jsonx.Decoder).Int) }
+
+func decodeMachine(d *jsonx.Decoder, m *Machine) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, machineFields) {
+		case "name":
+			d.String(&m.Name)
+		case "clusters":
+			d.Int(&m.Clusters)
+		case "fus":
+			jsonx.Ptr(d, &m.FUs, decodeMix)
+		case "hetero":
+			jsonx.Slice(d, &m.Hetero, decodeMix)
+		case "regs":
+			d.Int(&m.Regs)
+		case "buses":
+			d.Int(&m.Buses)
+		case "bus_latency":
+			d.Int(&m.BusLatency)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+func decodeOptions(d *jsonx.Decoder, o *Options) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, optionsFields) {
+		case "scheduler":
+			d.String(&o.Scheduler)
+		case "strategy":
+			d.String(&o.Strategy)
+		case "factor":
+			d.Int(&o.Factor)
+		case "policy":
+			d.String(&o.Policy)
+		case "max_ii":
+			d.Int(&o.MaxII)
+		case "force_ii":
+			d.Int(&o.ForceII)
+		case "parallel_ii":
+			d.Int(&o.ParallelII)
+		case "exact":
+			jsonx.Ptr(d, &o.Exact, decodeExactBudget)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+func decodeExactBudget(d *jsonx.Decoder, e *ExactBudget) {
+	for more := d.Object(); more; more = d.More('}') {
+		switch key := d.Key(); jsonx.Match(key, exactBudgetFields) {
+		case "max_nodes":
+			d.Int(&e.MaxNodes)
+		case "max_steps":
+			d.Int64(&e.MaxSteps)
+		case "max_ii":
+			d.Int(&e.MaxII)
+		default:
+			d.UnknownField(key)
+		}
+	}
+}
+
+// errNonFinite is what the response encoders return where a
+// json.Encoder would refuse a NaN or an infinite float.
+var errNonFinite = errors.New("json: unsupported value: non-finite float")
+
+// AppendCompileResponse appends r as a json.Encoder with
+// SetEscapeHTML(false) writes it — the JSON and a newline — or fails
+// where that encoder fails, on a NaN or infinite float.
+func AppendCompileResponse(dst []byte, r *CompileResponse) ([]byte, error) {
+	if !finite(r.Result) {
+		return dst, errNonFinite
+	}
+	dst = append(dst, `{"v":`...)
+	dst = jsonx.AppendInt(dst, r.V)
+	dst = append(dst, `,"result":`...)
+	if r.Result == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = appendResult(dst, r.Result)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// AppendBatchItem appends one NDJSON line of a /v1/batch stream as
+// AppendCompileResponse appends a response.
+func AppendBatchItem(dst []byte, it *BatchItem) ([]byte, error) {
+	if !finite(it.Result) {
+		return dst, errNonFinite
+	}
+	dst = append(dst, `{"v":`...)
+	dst = jsonx.AppendInt(dst, it.V)
+	dst = append(dst, `,"index":`...)
+	dst = jsonx.AppendInt(dst, it.Index)
+	if it.Result != nil {
+		dst = append(dst, `,"result":`...)
+		dst = appendResult(dst, it.Result)
+	}
+	if e := it.Error; e != nil {
+		dst = append(dst, `,"error":{"code":`...)
+		dst = jsonx.AppendStringNoHTML(dst, e.Code)
+		dst = append(dst, `,"message":`...)
+		dst = jsonx.AppendStringNoHTML(dst, e.Message)
+		if e.RetryAfterMS != 0 {
+			dst = append(dst, `,"retry_after_ms":`...)
+			dst = jsonx.AppendInt(dst, e.RetryAfterMS)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// finite reports whether every float in r is one encoding/json writes.
+func finite(r *Result) bool {
+	ok := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+	if r == nil {
+		return true
+	}
+	if !ok(r.IterationII) {
+		return false
+	}
+	if r.Stages != nil {
+		for _, c := range r.Stages.Candidates {
+			if !ok(c.IterationII) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func appendResult(dst []byte, r *Result) []byte {
+	open := len(dst)
+	if r.Graph != "" {
+		dst = jsonx.AppendField(dst, open, "graph")
+		dst = jsonx.AppendStringNoHTML(dst, r.Graph)
+	}
+	dst = jsonx.AppendField(dst, open, "ii")
+	dst = jsonx.AppendInt(dst, r.II)
+	dst = append(dst, `,"min_ii":`...)
+	dst = jsonx.AppendInt(dst, r.MinII)
+	dst = append(dst, `,"iteration_ii":`...)
+	dst = jsonx.AppendFloat(dst, r.IterationII)
+	dst = append(dst, `,"factor":`...)
+	dst = jsonx.AppendInt(dst, r.Factor)
+	dst = append(dst, `,"stage_count":`...)
+	dst = jsonx.AppendInt(dst, r.StageCount)
+	if r.BusLimited {
+		dst = append(dst, `,"bus_limited":true`...)
+	}
+	if r.FellBack {
+		dst = append(dst, `,"fell_back":true`...)
+	}
+	if len(r.MaxLive) > 0 {
+		dst = append(dst, `,"max_live":[`...)
+		for i, n := range r.MaxLive {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonx.AppendInt(dst, n)
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Causes) > 0 {
+		dst = append(dst, `,"causes":`...)
+		dst = appendCauses(dst, r.Causes)
+	}
+	dst = append(dst, `,"placements":`...)
+	if r.Placements == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, p := range r.Placements {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"node":`...)
+			dst = jsonx.AppendInt(dst, p.Node)
+			dst = append(dst, `,"cluster":`...)
+			dst = jsonx.AppendInt(dst, p.Cluster)
+			dst = append(dst, `,"fu":`...)
+			dst = jsonx.AppendInt(dst, p.FU)
+			dst = append(dst, `,"cycle":`...)
+			dst = jsonx.AppendInt(dst, p.Cycle)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Transfers) > 0 {
+		dst = append(dst, `,"transfers":[`...)
+		for i, t := range r.Transfers {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"producer":`...)
+			dst = jsonx.AppendInt(dst, t.Producer)
+			dst = append(dst, `,"from":`...)
+			dst = jsonx.AppendInt(dst, t.From)
+			dst = append(dst, `,"to":`...)
+			dst = jsonx.AppendInt(dst, t.To)
+			dst = append(dst, `,"bus":`...)
+			dst = jsonx.AppendInt(dst, t.Bus)
+			dst = append(dst, `,"start":`...)
+			dst = jsonx.AppendInt(dst, t.Start)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if x := r.Decision; x != nil {
+		dst = append(dst, `,"decision":{"unrolled":`...)
+		dst = appendBool(dst, x.Unrolled)
+		dst = append(dst, `,"factor":`...)
+		dst = jsonx.AppendInt(dst, x.Factor)
+		if x.BusLimited {
+			dst = append(dst, `,"bus_limited":true`...)
+		}
+		if x.ComNeeded != 0 {
+			dst = append(dst, `,"com_needed":`...)
+			dst = jsonx.AppendInt(dst, x.ComNeeded)
+		}
+		if x.CycNeeded != 0 {
+			dst = append(dst, `,"cyc_needed":`...)
+			dst = jsonx.AppendInt(dst, x.CycNeeded)
+		}
+		if x.UnrolledMinII != 0 {
+			dst = append(dst, `,"unrolled_min_ii":`...)
+			dst = jsonx.AppendInt(dst, x.UnrolledMinII)
+		}
+		if x.FailReason != "" {
+			dst = append(dst, `,"fail_reason":`...)
+			dst = jsonx.AppendStringNoHTML(dst, x.FailReason)
+		}
+		dst = append(dst, '}')
+	}
+	if x := r.Exact; x != nil {
+		dst = append(dst, `,"exact":{"proved":`...)
+		dst = appendBool(dst, x.Proved)
+		dst = append(dst, `,"lower_bound":`...)
+		dst = jsonx.AppendInt(dst, x.LowerBound)
+		dst = append(dst, `,"steps":`...)
+		dst = jsonx.AppendInt(dst, x.Steps)
+		dst = append(dst, '}')
+	}
+	if r.Policy != "" {
+		dst = append(dst, `,"policy":`...)
+		dst = jsonx.AppendStringNoHTML(dst, r.Policy)
+	}
+	if r.Stages != nil {
+		dst = append(dst, `,"stages":`...)
+		dst = appendStages(dst, r.Stages)
+	}
+	if r.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if r.DegradedReason != "" {
+		dst = append(dst, `,"degraded_reason":`...)
+		dst = jsonx.AppendStringNoHTML(dst, r.DegradedReason)
+	}
+	return append(dst, '}')
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, "true"...)
+	}
+	return append(dst, "false"...)
+}
+
+// appendCauses writes a map as encoding/json does: keys sorted.
+func appendCauses(dst []byte, m map[string]int) []byte {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonx.AppendStringNoHTML(dst, k)
+		dst = append(dst, ':')
+		dst = jsonx.AppendInt(dst, m[k])
+	}
+	return append(dst, '}')
+}
+
+func appendStages(dst []byte, s *Stages) []byte {
+	dst = append(dst, `{"scheduler":`...)
+	dst = jsonx.AppendStringNoHTML(dst, s.Scheduler)
+	dst = append(dst, `,"policy":`...)
+	dst = jsonx.AppendStringNoHTML(dst, s.Policy)
+	if s.Winner != "" {
+		dst = append(dst, `,"winner":`...)
+		dst = jsonx.AppendStringNoHTML(dst, s.Winner)
+	}
+	dst = append(dst, `,"total_ns":`...)
+	dst = jsonx.AppendInt(dst, s.TotalNS)
+	dst = append(dst, `,"stages":`...)
+	if s.Stages == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, st := range s.Stages {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = jsonx.AppendStringNoHTML(dst, st.Name)
+			dst = append(dst, `,"ns":`...)
+			dst = jsonx.AppendInt(dst, st.NS)
+			if st.Calls != 0 {
+				dst = append(dst, `,"calls":`...)
+				dst = jsonx.AppendInt(dst, st.Calls)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if s.Attempts != 0 {
+		dst = append(dst, `,"attempts":`...)
+		dst = jsonx.AppendInt(dst, s.Attempts)
+	}
+	if len(s.IITrajectory) > 0 {
+		dst = append(dst, `,"ii_trajectory":[`...)
+		for i, n := range s.IITrajectory {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonx.AppendInt(dst, n)
+		}
+		dst = append(dst, ']')
+	}
+	if len(s.Candidates) > 0 {
+		dst = append(dst, `,"candidates":[`...)
+		for i, c := range s.Candidates {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			at := len(dst)
+			dst = jsonx.AppendField(dst, at, "strategy")
+			dst = jsonx.AppendStringNoHTML(dst, c.Strategy)
+			if c.IterationII != 0 {
+				dst = jsonx.AppendField(dst, at, "iteration_ii")
+				dst = jsonx.AppendFloat(dst, c.IterationII)
+			}
+			if c.Error != "" {
+				dst = jsonx.AppendField(dst, at, "error")
+				dst = jsonx.AppendStringNoHTML(dst, c.Error)
+			}
+			if c.Won {
+				dst = jsonx.AppendField(dst, at, "won")
+				dst = append(dst, "true"...)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
 
 // AppendCompileRequest appends r's JSON encoding to dst, byte for byte
 // what json.Marshal writes.

@@ -18,18 +18,24 @@
 //
 // Codecs: the compile path's payloads are encoded and decoded by hand
 // (jsoncodec.go, over internal/jsonx) — AppendCompileRequest and
-// AppendBatchRequest on the client's way out, DecodeCompileResponse and
-// DecodeBatchItem on its way back, and ddg.Graph's own codec inside
-// every message that carries a loop.  They reproduce encoding/json
-// byte for byte and decision for decision: FuzzDecodeCompileRequest
-// runs the graph codec against the reflective one it replaced,
-// FuzzDecodeCompileResponse runs the response decoders against
-// json.Unmarshal, and TestHandCodecsCoverSchema fails when a DTO field
-// is missing from a hand codec.  Every other message, and the server's
-// request envelope (DecodeStrict), still goes through encoding/json.
+// AppendBatchRequest on the client's way out, DecodeCompileRequest and
+// DecodeBatchRequest on the server's way in, AppendCompileResponse and
+// AppendBatchItem on its way back, DecodeCompileResponse and
+// DecodeBatchItem at the client again, and ddg.Graph's own codec
+// inside every message that carries a loop.  They reproduce
+// encoding/json byte for byte and decision for decision:
+// FuzzDecodeCompileRequest and FuzzDecodeBatchRequest run the request
+// decoders against reflective DecodeStrict with the graph codec it
+// replaced, FuzzDecodeCompileResponse runs the response decoders
+// against json.Unmarshal, FuzzEncodeCompileResponse runs the response
+// encoders against json.Encoder, and TestHandCodecsCoverSchema fails
+// when a DTO field is missing from a hand codec.  Every other message
+// goes through encoding/json, and DecodeStrict remains the strict
+// reflective decoder of snapshot rows and peer answers.
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -524,15 +530,21 @@ func CheckVersion(v int) *Error {
 }
 
 // DecodeStrict decodes exactly one JSON value from r into v, rejecting
-// unknown fields and trailing garbage, so format drift and typos fail
-// loudly instead of silently compiling the wrong thing.
+// unknown fields and any non-whitespace byte after the value, so format
+// drift and typos fail loudly instead of silently compiling the wrong
+// thing.  (json.Decoder.More cannot be the trailing check: it reports
+// no more data before a stray ']' or '}'.)
 func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	rest, err := io.ReadAll(io.MultiReader(dec.Buffered(), r))
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
 		return errors.New("trailing data after JSON value")
 	}
 	return nil

@@ -361,6 +361,14 @@ func TestDecodeStrictRejects(t *testing.T) {
 	}{
 		{"unknown field", `{"v":1,"loup_ref":"x"}`, func() any { return &CompileRequest{} }},
 		{"trailing data", `{"v":1} {"v":1}`, func() any { return &CompileRequest{} }},
+		// json.Decoder.More reports no more data before ']' and '}'.
+		{"trailing brackets and garbage", `{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}]]garbage`,
+			func() any { return &CompileRequest{} }},
+		{"trailing bracket", `{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}]`,
+			func() any { return &CompileRequest{} }},
+		{"trailing brace", `{"v":1,"loop_ref":"tomcatv.loop0","machine_ref":"unified"}}`,
+			func() any { return &CompileRequest{} }},
+		{"trailing brace after a row", `{"key":"k"}}`, func() any { return &CacheEntry{} }},
 		{"unknown op", `{"name":"g","nodes":[{"name":"a","op":"warp"}],"edges":[]}`,
 			func() any { return &ddg.Graph{} }},
 		{"unknown node field", `{"name":"g","nodes":[{"name":"a","op":"iadd","opp":"x"}],"edges":[]}`,
@@ -375,9 +383,29 @@ func TestDecodeStrictRejects(t *testing.T) {
 			func() any { return &ddg.Graph{} }},
 	}
 	for _, c := range cases {
-		if err := DecodeStrict(strings.NewReader(c.body), c.into()); err == nil {
+		v := c.into()
+		if err := DecodeStrict(strings.NewReader(c.body), v); err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		}
+		switch v.(type) {
+		case *CompileRequest:
+			if err := DecodeCompileRequest([]byte(c.body), new(CompileRequest)); err == nil {
+				t.Errorf("%s: DecodeCompileRequest decoded without error", c.name)
+			}
+		case *ddg.Graph:
+			body := `{"v":1,"loop":{"graph":` + c.body + `}}`
+			if err := DecodeCompileRequest([]byte(body), new(CompileRequest)); err == nil {
+				t.Errorf("%s: DecodeCompileRequest decoded an inline loop without error", c.name)
+			}
+		}
+	}
+	// Whitespace after the value is not trailing data.
+	ok := "{\"v\":1,\"loop_ref\":\"tomcatv.loop0\"} \t\r\n"
+	if err := DecodeStrict(strings.NewReader(ok), new(CompileRequest)); err != nil {
+		t.Errorf("DecodeStrict rejects trailing whitespace: %v", err)
+	}
+	if err := DecodeCompileRequest([]byte(ok), new(CompileRequest)); err != nil {
+		t.Errorf("DecodeCompileRequest rejects trailing whitespace: %v", err)
 	}
 }
 
