@@ -57,10 +57,10 @@
 // internal/exact is the optimality oracle: a branch-and-bound modulo
 // scheduler built on the production scheduler's own attempt state
 // (sched.Attempt — same reservation table, bus planner, register check
-// and placement windows), sweeping IIs from MinII upward and proving
-// minimality when its node/step budget holds.  Since every BSA
-// placement is one path of the exhaustive search, a proved exact II is
-// a hard lower bound on BSA's — the differential tests in
+// and the same per-cluster cycle probe as BSA), sweeping IIs from MinII
+// upward and proving minimality when its node/step budget holds.  Since
+// every BSA placement is one path of the exhaustive search, a proved
+// exact II is a hard lower bound on BSA's — the differential tests in
 // internal/sched assert it on every sample graph, fuzz seed and small
 // corpus loop, and experiments.OptGapTable (cmd/experiments -run
 // optgap) reports the per-benchmark optimality gap across the Table 1

@@ -12,10 +12,12 @@
 // The search is built directly on the production scheduler's attempt
 // state (sched.Attempt): the same modulo reservation table, the same
 // bus planner with BusLatency-slot holds, the same register-pressure
-// check and — crucially — the same per-node placement windows, scanned
-// in the same SMS node order.  Any schedule BSA can reach is therefore
-// one path of this search tree, which gives the oracle its load-bearing
-// invariant:
+// check and — crucially — the same probe.  sched.Attempt.Choices runs
+// BSA's own per-cluster cycle scan (placement window, communication
+// template, register check and register skip) and keeps every fit
+// instead of the first, in the same SMS node order.  Any schedule BSA
+// can reach is therefore one path of this search tree, which gives the
+// oracle its load-bearing invariant:
 //
 //	Proved result  =>  exact II <= BSA II  (on the same graph/machine)
 //

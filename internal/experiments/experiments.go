@@ -35,12 +35,6 @@ type Suite struct {
 	Pipe *pipeline.Pipeline
 }
 
-// NewSuite loads the deterministic SPECfp95 substitute with a
-// GOMAXPROCS-sized pipeline.
-func NewSuite() *Suite {
-	return NewSuiteWith(corpus.SPECfp95())
-}
-
 // NewSuiteWith uses a custom workload (tests use a trimmed one).
 func NewSuiteWith(benchmarks []*corpus.Benchmark) *Suite {
 	return &Suite{Benchmarks: benchmarks, Pipe: pipeline.New(0)}

@@ -181,28 +181,6 @@ func (c Config) SlotsPerInstruction() int {
 //vliw:allocfree
 func (c Config) Clustered() bool { return c.NClusters > 1 }
 
-// WithBuses returns a copy of the configuration with a different number
-// of buses.  Convenient for the Figure 4 sweep.
-func (c Config) WithBuses(n int) Config {
-	c.Name = fmt.Sprintf("%s/B%d", baseName(c.Name), n)
-	c.NBuses = n
-	return c
-}
-
-// WithBusLatency returns a copy with a different bus latency.
-func (c Config) WithBusLatency(l int) Config {
-	c.Name = fmt.Sprintf("%s/L%d", baseName(c.Name), l)
-	c.BusLatency = l
-	return c
-}
-
-func baseName(name string) string {
-	if i := strings.IndexAny(name, "/"); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
-
 // String returns a compact human-readable description.
 func (c Config) String() string {
 	if c.Hetero != nil {

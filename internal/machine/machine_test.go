@@ -71,21 +71,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestWithBusesAndLatency(t *testing.T) {
-	cfg := TwoCluster(1, 1)
-	got := cfg.WithBuses(4)
-	if got.NBuses != 4 || got.BusLatency != 1 {
-		t.Errorf("WithBuses(4) = %+v, want 4 buses, latency 1", got)
-	}
-	if cfg.NBuses != 1 {
-		t.Error("WithBuses mutated the receiver")
-	}
-	got2 := cfg.WithBusLatency(2)
-	if got2.BusLatency != 2 || got2.NBuses != 1 {
-		t.Errorf("WithBusLatency(2) = %+v, want latency 2, 1 bus", got2)
-	}
-}
-
 func TestSlotsPerInstruction(t *testing.T) {
 	// Unified: 12 FU fields, no bus fields.
 	if got := Unified().SlotsPerInstruction(); got != 12 {

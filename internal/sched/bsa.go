@@ -232,7 +232,7 @@ func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 		worst := CauseFU
 		var profits []int // all clusters in one edge walk, on first success
 		for _, c := range candidateClusters(st, n, opts) {
-			cause := st.tryCycles(n, c)
+			cause := st.tryCycles(n, c, nil)
 			if cause == CauseNone {
 				if profits == nil {
 					profits = st.profits(n)

@@ -10,10 +10,12 @@ import (
 // runAttempt in progress — the same modulo reservation table, bus
 // planner, window computation and register check BSA uses — but driven
 // from outside: the caller enumerates every feasible placement of a
-// node, commits one, recurses, and rolls back.  Because the candidate
-// enumeration is shared verbatim with BSA's try(), any schedule BSA can
-// reach is inside an exhaustive search over Attempt placements; that
-// containment is what lets internal/exact prove IIs infeasible.
+// node, commits one, recurses, and rolls back.  The enumeration is
+// BSA's own probe: Choices runs tryCycles, the per-cluster cycle scan
+// runAttempt makes, in its collect mode, so every placement BSA can
+// choose is one of the choices and any schedule BSA can reach is inside
+// an exhaustive search over Attempt placements; that containment is
+// what lets internal/exact prove IIs infeasible.
 //
 // The register check behind Choices is the incremental per-cluster
 // pressure table: each speculative place/check/unplace costs O(lifetime
@@ -70,52 +72,18 @@ type Choice struct {
 }
 
 // Choices enumerates every feasible placement of node n in the current
-// state: for each cluster, every cycle of the node's candidate window
-// (the same window try() scans) with a free functional unit, routable
-// communications and register files that still fit.  The node's window
-// is computed once and shared across the cluster scan.  The enumeration
-// leaves the state untouched.  Only the returned choices allocate;
-// infeasible candidates are filtered through reused scratch buffers.
+// state: the node's scan state is computed once (fillCycles) and each
+// cluster's cycle run is scanned by tryCycles in collect mode — the
+// same probe BSA makes, communication template, window pre-check and
+// register skip included — keeping every fit instead of the first.
+// Choices come cluster by cluster, in scan order within a cluster.  The
+// enumeration leaves the state untouched; only the returned choices
+// allocate.
 func (a *Attempt) Choices(n int) []Choice {
-	st := a.st
-	st.fillCycles(n)
-	class := st.fg.class[n]
+	a.st.fillCycles(n)
 	var out []Choice
-	for c := 0; c < st.cfg.NClusters; c++ {
-		r, s, ii := st.run, st.runSlot, st.ii
-		for i, t := 0, r.start; i < r.count; i, t = i+1, t+r.step {
-			if i > 0 {
-				s += r.step
-				if s == ii {
-					s = 0
-				} else if s < 0 {
-					s = ii - 1
-				}
-			}
-			if !st.res.fuFreeSlot(c, class, s) {
-				continue
-			}
-			st.needBuf = st.commNeeds(n, c, t, st.needBuf[:0])
-			plan, ok := st.planComms(st.needBuf, st.planBuf[:0])
-			st.planBuf = plan[:0]
-			if !ok {
-				continue
-			}
-			// Register check against shadow tables — the live state is
-			// untouched either way.
-			fits, live := st.speculate(n, c, t, plan)
-			if pressureChecks {
-				st.crossCheckSpeculate(n, c, t, plan, fits, live)
-			}
-			st.releasePlan(plan)
-			if fits {
-				// The plan lives in the shared scratch buffer: copy it so
-				// the choice survives later enumerations and placements.
-				kept := append([]plannedComm(nil), plan...)
-				out = append(out, Choice{Cluster: c, Cycle: t,
-					res: tryResult{cycle: t, slot: s, plan: kept, maxLive: live}})
-			}
-		}
+	for c := 0; c < a.st.cfg.NClusters; c++ {
+		a.st.tryCycles(n, c, &out)
 	}
 	return out
 }

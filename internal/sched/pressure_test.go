@@ -69,31 +69,33 @@ func TestPressureInvariantAttemptWalk(t *testing.T) {
 		}
 		cfg := machine.TwoCluster(1, 1)
 		ii := g.MinII(&cfg) + 2
-		a := NewAttempt(g, &cfg, ii)
-		var walk func(idx int, budget *int) bool
-		walk = func(idx int, budget *int) bool {
-			if idx == g.NumNodes() || *budget <= 0 {
-				return true
-			}
-			chs := a.Choices(idx)
-			// Walk a few branches, not just the first, to vary rollback
-			// patterns.
-			tried := 0
-			for _, ch := range chs {
-				if tried == 2 || *budget <= 0 {
-					break
-				}
-				tried++
-				*budget--
-				a.Place(idx, ch)
-				walk(idx+1, budget)
-				a.Unplace(idx, ch)
-			}
-			return tried > 0
-		}
-		budget := 300
-		walk(0, &budget)
+		attemptWalk(NewAttempt(g, &cfg, ii), g.NumNodes(), 300)
 	}
+}
+
+// attemptWalk enumerates, places, recurses and unplaces nodes 0..n-1 the
+// way the exact oracle does, taking at most two branches per node and
+// budget placements in all, so deep speculative stacks and varied
+// rollback orders come under whatever checks are live.
+func attemptWalk(a *Attempt, n, budget int) {
+	var walk func(idx int)
+	walk = func(idx int) {
+		if idx == n || budget <= 0 {
+			return
+		}
+		tried := 0
+		for _, ch := range a.Choices(idx) {
+			if tried == 2 || budget <= 0 {
+				break
+			}
+			tried++
+			budget--
+			a.Place(idx, ch)
+			walk(idx + 1)
+			a.Unplace(idx, ch)
+		}
+	}
+	walk(0)
 }
 
 // TestAttemptMaxLiveMatchesSchedule cross-checks the Attempt's exposed

@@ -86,3 +86,31 @@ func TestRegSkipOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestRegSkipOracleAttemptWalk runs the exact oracle's kind of search —
+// Choices, Place, recurse, Unplace — with the skip oracle live, on
+// register files of 4 and 6 registers where placements jam on
+// pressure.  Choices enumerates through tryCycles, so the oracle's scans
+// skip the cycles a register certificate rules out exactly as BSA's do,
+// and every skipped cycle is re-probed here.
+func TestRegSkipOracleAttemptWalk(t *testing.T) {
+	DebugPressureChecks(true)
+	defer DebugPressureChecks(false)
+
+	before := regSkipProbes.Load()
+	for _, regs := range []int{4, 6} {
+		for _, cfg := range []machine.Config{machine.TwoCluster(1, 1), machine.FourCluster(1, 2)} {
+			cfg.RegsPerCluster = regs
+			for seed := uint64(0); seed < 20; seed++ {
+				g := ddg.Random(seed, uint8(6+seed%8), uint8(seed%5))
+				if g == nil {
+					continue
+				}
+				attemptWalk(NewAttempt(g, &cfg, g.MinII(&cfg)+1), g.NumNodes(), 300)
+			}
+		}
+	}
+	if got := regSkipProbes.Load() - before; got == 0 {
+		t.Fatal("no Choices scan reached a register skip: the oracle's enumeration bypasses tryCycles")
+	}
+}

@@ -133,9 +133,6 @@ func (s *Schedule) ClusterOf(n int) int { return s.Placements[n].Cluster }
 // CycleOf returns node n's flat schedule time.
 func (s *Schedule) CycleOf(n int) int { return s.Placements[n].Cycle }
 
-// SlotOf returns node n's kernel slot (cycle mod II).
-func (s *Schedule) SlotOf(n int) int { return s.Placements[n].Cycle % s.II }
-
 // StageOf returns node n's pipeline stage (cycle / II).
 func (s *Schedule) StageOf(n int) int { return s.Placements[n].Cycle / s.II }
 

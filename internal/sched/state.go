@@ -88,7 +88,7 @@ type state struct {
 	transStamp  []int32
 
 	// seen/seenEpoch stamp visited neighbours for the allocation-free
-	// distinct-neighbour counts (neighborsIn).
+	// distinct-neighbour counts (neighborsInAll).
 	seen      []int32
 	seenEpoch int32
 
@@ -101,8 +101,7 @@ type state struct {
 	run     scanRun
 	runSlot int
 
-	// Scratch buffers reused across try/Choices calls.
-	needBuf     []commNeed
+	// Scratch buffers reused across tryCycles calls.
 	tplInBuf    []tplIn
 	tplOutBuf   []tplOut
 	tplMin      []int // per-cluster feasibility interval of the template
@@ -114,7 +113,6 @@ type state struct {
 	selfMax     int   // max self-edge distance of the current node, -1 if none
 	profitBuf   []int
 	nbBuf       []int
-	planBuf     []plannedComm
 	keepBuf     [][]plannedComm // per-cluster: survives until the candidate is committed
 	tryRes      []tryResult     // per-cluster: result slot filled by tryCycles
 	candBuf     []candidate
@@ -404,9 +402,9 @@ func (st *state) runOf(w window) scanRun {
 	}
 }
 
-// candidateCycles materialises runOf into a slice (tests, diagnostics
-// and the exact-search enumeration; the BSA hot path walks the run
-// directly).  Callers pass a scratch slice, typically buf[:0].
+// candidateCycles materialises runOf into a slice for the window tests;
+// every scan (BSA's and the exact oracle's, through tryCycles) walks the
+// run directly.  Callers pass a scratch slice, typically buf[:0].
 //
 //vliw:allocfree
 func (st *state) candidateCycles(w window, out []int) []int {
@@ -451,6 +449,11 @@ type commNeed struct {
 // destination) are merged to the tightest window; the output order is
 // the deterministic in-edge-then-out-edge encounter order.  Callers pass
 // a scratch slice (typically buf[:0]).
+//
+// No scan calls it: it is the direct, per-cycle reference that the
+// communication template (buildNodeTpl, planActs) is checked against
+// under pressureChecks (checkActNeeds, checkWindowSkip) and in the
+// state tests.
 func (st *state) commNeeds(n, c, t int, out []commNeed) []commNeed {
 	// Incoming values: scheduled producers in other clusters.
 	for _, e := range st.fg.trueIn(n) {
@@ -760,9 +763,10 @@ func (st *state) planActs(n, c, t int, dst []plannedComm) ([]plannedComm, bool) 
 }
 
 // planComms reserves buses for every need, first-fit earliest-start,
-// appending to dst (a reused scratch or per-cluster keep buffer).  On
-// failure it releases everything it reserved and returns dst[:0],
-// false.
+// appending to dst.  On failure it releases everything it reserved and
+// returns dst[:0], false.  Like commNeeds it is reference only: the
+// scans plan through planActs, and checkWindowSkip plans the direct
+// needs with it.
 //
 //vliw:allocfree
 func (st *state) planComms(needs []commNeed, dst []plannedComm) ([]plannedComm, bool) {
@@ -843,7 +847,8 @@ func effEnd(arrival, last int) int {
 // place commits node n at (cluster c, cycle t) with its communication
 // plan, updating the per-cluster pressure tables with exactly the
 // lifetime segments the placement creates.  The bus slots in plan are
-// already reserved by planComms.
+// already reserved by the caller (commit, or planActs before a
+// crossCheckSpeculate replay).
 //
 //vliw:allocfree
 func (st *state) place(n, c, t int, plan []plannedComm) {
@@ -1050,7 +1055,7 @@ func (st *state) transCur(idx int) int {
 // lifetime segments to per-cluster shadow snapshots: the live tables,
 // reservation rows, transfer logs and undo stack are untouched, and an
 // abandoned speculation costs nothing to roll back.  The bus slots in
-// plan are reserved (planComms ran) but buses carry no pressure, so the
+// plan are reserved (planActs ran) but buses carry no pressure, so the
 // plan is consumed purely as timing data.
 //
 //vliw:allocfree
@@ -1232,7 +1237,7 @@ type tryResult struct {
 //vliw:allocfree
 func (st *state) try(n, c int) (tryResult, FailCause) {
 	st.fillCycles(n)
-	if cause := st.tryCycles(n, c); cause != CauseNone {
+	if cause := st.tryCycles(n, c, nil); cause != CauseNone {
 		return tryResult{}, cause
 	}
 	return st.tryRes[c], CauseNone
@@ -1247,6 +1252,13 @@ func (st *state) try(n, c int) (tryResult, FailCause) {
 // and its plan lives in the per-cluster keep buffer: both valid until
 // the next try of the same cluster, which is exactly the candidate
 // lifetime of the BSA selection loop.
+//
+// With all non-nil the scan does not stop at the first fit: every
+// feasible placement is appended to *all in scan order, each with its
+// own copy of the plan, and the scan runs to the end of the cycle run —
+// the enumeration Attempt.Choices hands to the exact oracle, so the
+// oracle branches over exactly the probes BSA makes.  The returned cause
+// then describes the probes that failed.
 //
 // A probe that fails only its register check can prove that the probes
 // after it fail too.  Along a run, some of the lifetime segments a
@@ -1267,7 +1279,7 @@ func (st *state) try(n, c int) (tryResult, FailCause) {
 // neither the placement found nor the failure reported.
 //
 //vliw:allocfree
-func (st *state) tryCycles(n, c int) FailCause {
+func (st *state) tryCycles(n, c int, all *[]Choice) FailCause {
 	class := st.fg.class[n]
 	reached := CauseFU
 	// The node's communication template (fillCycles) is already
@@ -1321,8 +1333,17 @@ func (st *state) tryCycles(n, c int) FailCause {
 		// re-applies the plan on commit.
 		st.releasePlan(plan)
 		if fits {
-			st.tryRes[c] = tryResult{cycle: t, slot: s, plan: plan, maxLive: live}
-			return CauseNone
+			if all == nil {
+				st.tryRes[c] = tryResult{cycle: t, slot: s, plan: plan, maxLive: live}
+				return CauseNone
+			}
+			// Collect mode (Attempt.Choices): the plan lives in the keep
+			// buffer the next probe reuses, so the choice keeps its own copy.
+			//vliw:alloc-ok collect mode only: each choice outlives the scan
+			kept := append([]plannedComm(nil), plan...)
+			ch := Choice{Cluster: c, Cycle: t, res: tryResult{cycle: t, slot: s, plan: kept, maxLive: live}}
+			*all = append(*all, ch) //vliw:alloc-ok collect mode only: the enumeration is the result
+			continue
 		}
 		reached = CauseReg
 		if k := st.regSkip(n, c, t, plan, r.count-1-i); k > 0 {
@@ -1601,20 +1622,12 @@ func (st *state) profits(n int) []int {
 	return buf
 }
 
-// neighborsIn counts n's scheduled predecessors and successors living in
-// cluster c (tie-break (7) of the selection heuristics).  Distinct
-// neighbours are counted once per direction (a node that is both
-// predecessor and successor counts twice, matching ddg.Preds + Succs);
-// the seen-stamp scratch keeps the dedup allocation-free.
-//
-//vliw:allocfree
-func (st *state) neighborsIn(n, c int) int {
-	return st.neighborsInAll(n)[c]
-}
-
-// neighborsInAll is neighborsIn for every cluster in one pair of edge
-// walks: each placed neighbour is stamped once per direction and
-// bucketed by its cluster.
+// neighborsInAll counts, for every cluster, n's scheduled predecessors
+// and successors living there (tie-break (7) of the selection
+// heuristics), in one pair of edge walks.  Distinct neighbours are
+// counted once per direction (a node that is both predecessor and
+// successor counts twice, matching ddg.Preds + Succs); the seen-stamp
+// scratch keeps the dedup allocation-free.
 //
 //vliw:allocfree
 func (st *state) neighborsInAll(n int) []int {

@@ -33,10 +33,8 @@ type metrics struct {
 	cacheRequests atomic.Int64
 	rejected      atomic.Int64
 	inflight      atomic.Int64
-	// panics counts compiles answered with engine_panic; quarantined
-	// counts refusals of quarantined engines; degraded counts compiles
-	// rerouted to the baseline under allow_degraded.
-	panics      atomic.Int64
+	// quarantined counts refusals of quarantined engines; degraded
+	// counts compiles rerouted to the baseline under allow_degraded.
 	quarantined atomic.Int64
 	degraded    atomic.Int64
 }

@@ -335,7 +335,6 @@ func (s *Server) Compile(ctx context.Context, req *wire.CompileRequest) (*wire.R
 		var perr *engine.PanicError
 		if errors.As(err, &perr) {
 			s.quar.ReportFailure(runEng, engine.FailPanic)
-			s.m.panics.Add(1)
 			return nil, wire.Errorf(wire.CodeEnginePanic, "%v", perr)
 		}
 		if cerr := ctx.Err(); cerr != nil {
