@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/ddg"
 	"repro/internal/machine"
-	"repro/internal/order"
 	"repro/internal/sched"
 )
 
@@ -57,7 +56,7 @@ func NystromEichenberger(g *ddg.Graph, cfg *machine.Config, opts *Options) (*sch
 		return nil, fmt.Errorf("assign: %s: empty graph", g.Name)
 	}
 
-	ord := order.SMS(g)
+	ord := sched.SMSOrder(g)
 	// As in BSA, a MinII raised to the bus-latency floor (ddg.BusMII)
 	// means lower IIs were abandoned for the bus without being attempted;
 	// keep the LimitedByBus signal alive.
@@ -73,7 +72,6 @@ func NystromEichenberger(g *ddg.Graph, cfg *machine.Config, opts *Options) (*sch
 		s, err := sched.ScheduleGraph(g, cfg, &sched.Options{
 			Assignment: assignment,
 			ForceII:    ii,
-			Order:      ord,
 		})
 		if err == nil {
 			s.MinII = minII

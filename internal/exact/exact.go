@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/ddg"
 	"repro/internal/machine"
-	"repro/internal/order"
 	"repro/internal/sched"
 )
 
@@ -145,9 +144,10 @@ func Schedule(g *ddg.Graph, cfg *machine.Config, budget *Budget) (*Result, error
 
 	s := &searcher{
 		g: g, cfg: cfg,
-		ord:      order.SMS(g),
+		ord:      sched.SMSOrder(g),
 		maxSteps: budget.Steps(),
 		homog:    cfg.Hetero == nil,
+		bufs:     make([][]sched.Choice, g.NumNodes()),
 	}
 	minII := g.MinII(cfg)
 	// One attempt is allocated for the whole sweep and Reset per II: the
@@ -192,8 +192,8 @@ const (
 )
 
 // searcher carries the per-run immutable inputs (graph, machine, SMS
-// order — memoized once and reused across every II of the sweep) and
-// the global step counter.
+// order — memoized on the graph and reused across every II of the
+// sweep), the global step counter and one choice buffer per DFS depth.
 type searcher struct {
 	g        *ddg.Graph
 	cfg      *machine.Config
@@ -202,6 +202,10 @@ type searcher struct {
 	homog    bool
 	maxSteps int64
 	steps    int64
+	// bufs[idx] holds the choices of the idx-th node of the order; a
+	// depth's list lives until the DFS returns from it, so each depth
+	// reuses its own buffer across every visit and every II.
+	bufs [][]sched.Choice
 }
 
 // searchII exhaustively explores placements at one II, rewinding the
@@ -221,7 +225,8 @@ func (s *searcher) dfs(a *sched.Attempt, idx int) (status, *sched.Schedule) {
 		return stFound, a.Schedule()
 	}
 	n := s.ord[idx]
-	chs := a.Choices(n)
+	chs := a.Choices(n, s.bufs[idx][:0])
+	s.bufs[idx] = chs
 	if idx == 0 {
 		chs = s.pinFirst(chs)
 	}

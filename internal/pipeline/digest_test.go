@@ -27,26 +27,7 @@ func TestPaperGridDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole paper grid")
 	}
-	flavours := []core.Options{
-		{Scheduler: core.BSA, Strategy: core.NoUnroll},
-		{Scheduler: core.BSA, Strategy: core.UnrollAll},
-		{Scheduler: core.BSA, Strategy: core.SelectiveUnroll},
-		{Scheduler: core.NystromEichenberger, Strategy: core.NoUnroll},
-	}
-	var reqs []Request
-	for _, bm := range corpus.SPECfp95() {
-		for _, l := range bm.Loops {
-			for _, cfg := range machine.Table1Configs() {
-				for _, opts := range flavours {
-					reqs = append(reqs, Request{Loop: l, Cfg: cfg, Opts: opts})
-				}
-			}
-		}
-	}
-	if len(reqs) != 2880 {
-		t.Fatalf("grid has %d compiles, want 2880", len(reqs))
-	}
-
+	reqs := paperGrid(t)
 	h := sha256.New()
 	for i, r := range New(0).CompileBatch(reqs) {
 		req := reqs[i]
@@ -70,4 +51,46 @@ func TestPaperGridDigest(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != paperGridDigest {
 		t.Fatalf("paper-grid digest %s, want %s: a compile's outcome changed", got, paperGridDigest)
 	}
+}
+
+// BenchmarkPaperGrid times one cold pass over the grid TestPaperGridDigest
+// hashes, on a fresh one-worker pipeline per iteration: the in-process
+// number behind perfbench's paper-grid workload, without its pass order
+// or telemetry.  The graphs are shared across iterations, so every
+// pass after the first finds their memoized analyses (fingerprint, SMS
+// order) warm, as perfbench's passes do.
+func BenchmarkPaperGrid(b *testing.B) {
+	reqs := paperGrid(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(1).CompileBatch(reqs) // a compile's error is part of the grid's outcome
+	}
+}
+
+// paperGrid builds the paper's evaluation grid: every SPECfp95 loop on
+// every Table 1 machine under BSA without unrolling, with unconditional
+// and with selective unrolling, and under the Nystrom-Eichenberger
+// baseline — 2880 requests.
+func paperGrid(tb testing.TB) []Request {
+	flavours := []core.Options{
+		{Scheduler: core.BSA, Strategy: core.NoUnroll},
+		{Scheduler: core.BSA, Strategy: core.UnrollAll},
+		{Scheduler: core.BSA, Strategy: core.SelectiveUnroll},
+		{Scheduler: core.NystromEichenberger, Strategy: core.NoUnroll},
+	}
+	var reqs []Request
+	for _, bm := range corpus.SPECfp95() {
+		for _, l := range bm.Loops {
+			for _, cfg := range machine.Table1Configs() {
+				for _, opts := range flavours {
+					reqs = append(reqs, Request{Loop: l, Cfg: cfg, Opts: opts})
+				}
+			}
+		}
+	}
+	if len(reqs) != 2880 {
+		tb.Fatalf("grid has %d compiles, want 2880", len(reqs))
+	}
+	return reqs
 }

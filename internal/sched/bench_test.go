@@ -153,7 +153,7 @@ func BenchmarkAttemptExpansion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Reset(s.II)
 		for n := 0; n < g.NumNodes(); n++ {
-			chs := a.Choices(n)
+			chs := a.Choices(n, nil)
 			if len(chs) == 0 {
 				break
 			}

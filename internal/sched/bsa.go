@@ -82,11 +82,9 @@ func ScheduleGraph(g *ddg.Graph, cfg *machine.Config, opts *Options) (*Schedule,
 
 	ord := opts.Order
 	if ord == nil {
-		// The SMS order depends only on the graph: memoize it there, so II
-		// retries, repeated runs and parallel II workers share one
-		// computation.  It is a permutation by construction — only
+		// The memoized order is a permutation by construction — only
 		// user-supplied orders need checking.
-		ord = g.Memoize("sched.sms", func() any { return order.SMS(g) }).([]int)
+		ord = SMSOrder(g)
 	} else if err := order.CheckPermutation(g, ord); err != nil {
 		return nil, err
 	}
@@ -135,6 +133,14 @@ func ScheduleGraph(g *ddg.Graph, cfg *machine.Config, opts *Options) (*Schedule,
 	}
 	return nil, &Error{Graph: g.Name, Machine: cfg.Name, MaxII: maxII, MinII: minII,
 		Causes: causesMap(causes), LastNode: lastFail}
+}
+
+// SMSOrder returns g's SMS node order.  The order depends only on the
+// graph, so it is memoized there: II retries, repeated runs, parallel II
+// workers and the two-phase baseline share one computation.  The slice
+// is shared; callers must not modify it.
+func SMSOrder(g *ddg.Graph) []int {
+	return g.Memoize("sched.sms", func() any { return order.SMS(g) }).([]int)
 }
 
 // nextII advances the II search: dense stepping near MinII preserves
@@ -209,9 +215,21 @@ type candidate struct {
 
 // runAttempt schedules every node at the state's II, returning CauseNone
 // on success or the dominant failure cause plus the node that failed.
+//
+// Under the paper's policy with free cluster choice, the clusters are
+// probed in descending profit order (profitOrder) and the probing stops
+// once no unprobed cluster can change chooseByProfit's pick: a cluster's
+// profit depends only on placed neighbours, so it is known before its
+// cycle scan, and after the first roomy candidate (preferHeadroom's
+// test) of profit P every cluster of lower profit is skipped.  Clusters
+// of profit P itself are still probed, for the tie-breaks.  When no
+// cluster fits, every cluster is probed, so the failure cause is the
+// full scan's.  The ablation policies and a fixed Assignment probe every
+// candidate cluster.
 func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 	defCluster := -1
 	rrCluster := -1
+	byProfit := opts.Policy == PolicyProfit && opts.Assignment == nil
 	for _, n := range ord {
 		if st.cancel != nil && st.cancel() {
 			return CauseCancelled, n
@@ -225,19 +243,26 @@ func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 		// shared across the cluster candidates.
 		st.fillCycles(n)
 
-		// cands stays sorted by ascending cluster: candidateClusters
-		// yields clusters in ascending order and try returns at most one
-		// candidate per cluster.
+		profits := st.profits(n) // all clusters in one edge walk
+		clusters := candidateClusters(st, n, opts)
+		if byProfit {
+			clusters = profitOrder(st, profits)
+		}
 		cands := st.candBuf[:0]
 		worst := CauseFU
-		var profits []int // all clusters in one edge walk, on first success
-		for _, c := range candidateClusters(st, n, opts) {
+		var skipped []int
+		floor, stopped := 0, false
+		for i, c := range clusters {
+			if stopped && profits[c] < floor {
+				skipped = clusters[i:]
+				break
+			}
 			cause := st.tryCycles(n, c, nil)
 			if cause == CauseNone {
-				if profits == nil {
-					profits = st.profits(n)
-				}
 				cands = append(cands, candidate{cluster: c, profit: profits[c]})
+				if byProfit && !stopped && st.roomy(c) {
+					floor, stopped = profits[c], true
+				}
 				continue
 			}
 			if cause > worst {
@@ -247,6 +272,11 @@ func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 		st.candBuf = cands[:0]
 		if len(cands) == 0 {
 			return worst, n
+		}
+		if byProfit {
+			// The selection sees cands by ascending cluster, as a full
+			// scan yields them: its tie-breaks keep the first of equals.
+			sortByCluster(cands)
 		}
 
 		var chosen candidate
@@ -269,10 +299,42 @@ func runAttempt(st *state, ord []int, opts *Options) (FailCause, int) {
 			}
 		default:
 			chosen = chooseByProfit(st, n, preferHeadroom(st, cands), defCluster)
+			if pressureChecks {
+				st.checkEarlyStop(n, cands, skipped, chosen, defCluster)
+			}
 		}
 		st.commit(n, chosen.cluster, st.tryRes[chosen.cluster])
 	}
 	return CauseNone, -1
+}
+
+// profitOrder returns every cluster by descending profit, ties by
+// ascending cluster: the order runAttempt probes them in.  The list
+// lives in the state's scratch buffer.
+//
+//vliw:allocfree
+func profitOrder(st *state, profits []int) []int {
+	out := st.orderBuf
+	for i := range out {
+		c := i
+		for ; c > 0 && profits[out[c-1]] < profits[i]; c-- {
+			out[c] = out[c-1]
+		}
+		out[c] = i
+	}
+	return out
+}
+
+// sortByCluster restores ascending cluster order on the few candidates
+// a profit-ordered probe found (insertion sort: at most NClusters).
+//
+//vliw:allocfree
+func sortByCluster(cands []candidate) {
+	for i := 1; i < len(cands); i++ {
+		for j := i; j > 0 && cands[j].cluster < cands[j-1].cluster; j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
 }
 
 // candidateClusters returns the clusters to try for node n, always in
@@ -298,13 +360,9 @@ func candidateClusters(st *state, n int, opts *Options) []int {
 //
 //vliw:allocfree
 func preferHeadroom(st *state, cands []candidate) []candidate {
-	margin := st.cfg.RegsPerCluster / 8
-	if margin < 1 {
-		margin = 1
-	}
 	roomy := st.roomyBuf[:0]
 	for _, c := range cands {
-		if st.tryRes[c.cluster].maxLive <= st.cfg.RegsPerCluster-margin {
+		if st.roomy(c.cluster) {
 			roomy = append(roomy, c)
 		}
 	}
@@ -315,10 +373,28 @@ func preferHeadroom(st *state, cands []candidate) []candidate {
 	return roomy
 }
 
+// roomy reports whether cluster c's tried placement leaves a margin of
+// an eighth of the register file (at least one register) free.
+//
+//vliw:allocfree
+func (st *state) roomy(c int) bool {
+	margin := st.cfg.RegsPerCluster / 8
+	if margin < 1 {
+		margin = 1
+	}
+	return st.tryRes[c].maxLive <= st.cfg.RegsPerCluster-margin
+}
+
 // chooseByProfit applies the paper's prioritised criteria (Figure 5,
 // steps 4-9): best profit; then the only candidate; then a cluster
 // holding a predecessor or successor of n; then the default cluster;
-// finally the candidate minimising register requirements.
+// finally the candidate minimising register requirements.  Every
+// criterion after the first looks only at candidates of the best
+// profit, so runAttempt hands it just the clusters that can reach it:
+// those of profit at least P, the profit of the first roomy candidate
+// in descending profit order — preferHeadroom keeps that candidate, so
+// the best profit is at least P either way.  cands must come in
+// ascending cluster order, as a full scan yields them.
 //
 //vliw:allocfree
 func chooseByProfit(st *state, n int, cands []candidate, defCluster int) candidate {

@@ -94,6 +94,37 @@ func (st *state) checkRegSkip(n, c, t, k int) {
 	}
 }
 
+// headroomPicks counts the picks checkEarlyStop found below the top
+// profit of the full candidate set — preferHeadroom passed over a
+// cluster filled to the brim — so tests can tell that case ran.
+var headroomPicks atomic.Int64
+
+// checkEarlyStop asserts that runAttempt's profit-ordered probe picked
+// what the full scan picks: it probes the clusters the probe skipped,
+// restores ascending cluster order and reruns the selection over every
+// candidate.
+func (st *state) checkEarlyStop(n int, cands []candidate, skipped []int, chosen candidate, defCluster int) {
+	profits := st.profits(n)
+	full := append([]candidate(nil), cands...)
+	for _, c := range skipped {
+		if st.tryCycles(n, c, nil) == CauseNone {
+			full = append(full, candidate{cluster: c, profit: profits[c]})
+		}
+	}
+	sortByCluster(full)
+	want := chooseByProfit(st, n, preferHeadroom(st, full), defCluster)
+	if want != chosen {
+		panic(fmt.Sprintf("sched: early-stopped probe of node %d picked %+v, full scan %+v (graph %s II=%d, candidates %+v)",
+			n, chosen, want, st.g.Name, st.ii, full))
+	}
+	for _, c := range full {
+		if c.profit > chosen.profit {
+			headroomPicks.Add(1)
+			break
+		}
+	}
+}
+
 // checkPressure asserts the invariant the incremental tables maintain:
 // for every cluster, the table's slots equal regpress.Pressure of the
 // lifetimes rebuilt from scratch, and the O(1) fits verdict matches the

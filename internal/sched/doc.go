@@ -29,6 +29,15 @@
 //     The differential tests drive both regimes against a per-slot
 //     scalar oracle (mrt_scalar_test.go).
 //
+//   - BSA probes a node's clusters in descending profit order and stops
+//     once no unprobed cluster can change the pick: a profit depends
+//     only on placed neighbours, so after the first roomy candidate of
+//     profit P, clusters of lower profit are skipped (runAttempt).  A
+//     node that fits nowhere still probes every cluster, so the II
+//     search, its failure causes and every schedule are those of the
+//     full scan; under DebugPressureChecks each pick is re-made over the
+//     full candidate set (checkEarlyStop).
+//
 //   - A candidate cycle that fails only its register check also proves
 //     the cycles after it fail, up to the next change of the transfers
 //     to plan, when the lifetime segments that persist along the scan

@@ -71,17 +71,17 @@ type Choice struct {
 	res tryResult
 }
 
-// Choices enumerates every feasible placement of node n in the current
-// state: the node's scan state is computed once (fillCycles) and each
-// cluster's cycle run is scanned by tryCycles in collect mode — the
-// same probe BSA makes, communication template, window pre-check and
-// register skip included — keeping every fit instead of the first.
-// Choices come cluster by cluster, in scan order within a cluster.  The
-// enumeration leaves the state untouched; only the returned choices
-// allocate.
-func (a *Attempt) Choices(n int) []Choice {
+// Choices appends every feasible placement of node n in the current
+// state to out and returns the extended slice: the node's scan state is
+// computed once (fillCycles) and each cluster's cycle run is scanned by
+// tryCycles in collect mode — the same probe BSA makes, communication
+// template, window pre-check and register skip included — keeping every
+// fit instead of the first.  Choices come cluster by cluster, in scan
+// order within a cluster.  The enumeration leaves the state untouched;
+// a searcher that passes one reused buffer per depth (out[:0]) makes
+// only the choices' plan copies allocate.
+func (a *Attempt) Choices(n int, out []Choice) []Choice {
 	a.st.fillCycles(n)
-	var out []Choice
 	for c := 0; c < a.st.cfg.NClusters; c++ {
 		a.st.tryCycles(n, c, &out)
 	}

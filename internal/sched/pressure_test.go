@@ -84,7 +84,7 @@ func attemptWalk(a *Attempt, n, budget int) {
 			return
 		}
 		tried := 0
-		for _, ch := range a.Choices(idx) {
+		for _, ch := range a.Choices(idx, nil) {
 			if tried == 2 || budget <= 0 {
 				break
 			}
@@ -112,7 +112,7 @@ func TestAttemptMaxLiveMatchesSchedule(t *testing.T) {
 	a := NewAttempt(g, &cfg, s.II)
 	for _, n := range s.Placements {
 		placedOne := false
-		for _, ch := range a.Choices(n.Node) {
+		for _, ch := range a.Choices(n.Node, nil) {
 			if ch.Cluster == n.Cluster {
 				a.Place(n.Node, ch)
 				placedOne = true
@@ -223,7 +223,7 @@ func TestReferenceLifetimesMatchScheduleLifetimes(t *testing.T) {
 	a := NewAttempt(g, &cfg, s.II)
 	for _, p := range s.Placements {
 		ok := false
-		for _, ch := range a.Choices(p.Node) {
+		for _, ch := range a.Choices(p.Node, nil) {
 			if ch.Cluster == p.Cluster {
 				a.Place(p.Node, ch)
 				ok = true

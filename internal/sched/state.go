@@ -120,6 +120,7 @@ type state struct {
 	shortBuf    []candidate
 	sortBuf     []int
 	allClusters []int
+	orderBuf    []int // profitOrder's cluster permutation
 	oneCluster  [1]int
 }
 
@@ -242,6 +243,7 @@ func (st *state) rebind(g *ddg.Graph, cfg *machine.Config) {
 	for i := range st.allClusters {
 		st.allClusters[i] = i
 	}
+	st.orderBuf = growInts(st.orderBuf, nc)
 	st.profitBuf = growInts(st.profitBuf, nc)
 	st.nbBuf = growInts(st.nbBuf, nc)
 	st.tplMin = growInts(st.tplMin, nc)
@@ -400,19 +402,6 @@ func (st *state) runOf(w window) scanRun {
 	default:
 		return scanRun{start: 0, count: st.ii, step: 1}
 	}
-}
-
-// candidateCycles materialises runOf into a slice for the window tests;
-// every scan (BSA's and the exact oracle's, through tryCycles) walks the
-// run directly.  Callers pass a scratch slice, typically buf[:0].
-//
-//vliw:allocfree
-func (st *state) candidateCycles(w window, out []int) []int {
-	r := st.runOf(w)
-	for i, t := 0, r.start; i < r.count; i, t = i+1, t+r.step {
-		out = append(out, t)
-	}
-	return out
 }
 
 // fillCycles computes everything about node n the per-cluster tries

@@ -48,9 +48,8 @@ func TestWindowLoopCarriedIsUnanchored(t *testing.T) {
 		t.Error("distance-3 pred must not anchor")
 	}
 	// The scan must clamp to the base instead of starting at -29.
-	cands := st.candidateCycles(w, nil)
-	if cands[0] != 0 {
-		t.Errorf("first candidate = %d, want 0 (clamped)", cands[0])
+	if r := st.runOf(w); r.start != 0 {
+		t.Errorf("first candidate = %d, want 0 (clamped)", r.start)
 	}
 }
 
@@ -68,9 +67,9 @@ func TestWindowBothSidesIntersection(t *testing.T) {
 	if w.early != 1 || w.late != 5 {
 		t.Errorf("window = [%d, %d], want [1, 5]", w.early, w.late)
 	}
-	cands := st.candidateCycles(w, nil)
-	if cands[0] != 1 || cands[len(cands)-1] != 4 { // early..min(late, early+II-1)
-		t.Errorf("candidates = %v, want 1..4", cands)
+	r := st.runOf(w)
+	if last := r.start + (r.count-1)*r.step; r.start != 1 || r.step != 1 || last != 4 { // early..min(late, early+II-1)
+		t.Errorf("candidates = %+v, want 1..4", r)
 	}
 }
 
@@ -85,9 +84,8 @@ func TestCandidateCyclesDescendForSuccOnly(t *testing.T) {
 	if !w.hasLate || w.late != 9 {
 		t.Fatalf("late = %d (%v), want 9", w.late, w.hasLate)
 	}
-	cands := st.candidateCycles(w, nil)
-	if cands[0] != 9 || cands[1] != 8 {
-		t.Errorf("candidates = %v, want descending from 9", cands[:2])
+	if r := st.runOf(w); r.start != 9 || r.step != -1 || r.count < 2 {
+		t.Errorf("candidates = %+v, want descending from 9", r)
 	}
 }
 
